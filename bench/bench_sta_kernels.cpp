@@ -1,15 +1,11 @@
-// STA kernel benchmark: the SoA TimingStore + wavefront-parallel full
-// passes. Measures the full forward+backward pass at 1/2/4/8 threads
-// (verifying bit-identical timing against the serial engine first), and the
-// caller-provided-buffer endpoint-slack scan against the allocating
-// overload.
+// STA kernel benchmark over the SoA TimingStore: the full forward+backward
+// pass, and the caller-provided-buffer endpoint-slack scan against the
+// allocating overload.
 //
 // With --json PATH the results are written as a bench document
 // ({"bench":"sta_kernels","metrics":{...}}) that rlccd_report loads and
-// diffs: the speedup ratios participate in the CI regression verdict,
-// absolute milliseconds are informational (hardware varies). Numbers are
-// honest wall-clock measurements of this machine — on a single-core runner
-// the parallel speedups sit near 1.0 and that is what gets recorded.
+// diffs: the speedup ratio participates in the CI regression verdict,
+// absolute milliseconds are informational (hardware varies).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -38,19 +34,6 @@ double best_full_pass_ms(Sta& sta, int repeats) {
   return 1e3 * best;
 }
 
-bool timing_matches(const Sta& a, const Sta& b) {
-  for (std::uint32_t i = 0; i < a.netlist().num_pins(); ++i) {
-    const PinTiming ta = a.timing(PinId(i));
-    const PinTiming tb = b.timing(PinId(i));
-    if (ta.arrival_max != tb.arrival_max || ta.arrival_min != tb.arrival_min ||
-        ta.slew != tb.slew || ta.required != tb.required ||
-        ta.reachable != tb.reachable) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace rlccd
 
@@ -73,7 +56,7 @@ int main(int argc, char** argv) {
   Design d = generate_design(gcfg);
   const int kRepeats = env_flag("RLCCD_BENCH_FAST") ? 3 : 5;
 
-  std::printf("== SoA timing store / wavefront STA kernels ==\n");
+  std::printf("== SoA timing store / STA kernels ==\n");
   std::printf("design: %zu cells, %zu pins, period %.3f ns\n\n",
               d.netlist->num_real_cells(), d.netlist->num_pins(),
               d.clock_period);
@@ -83,53 +66,28 @@ int main(int argc, char** argv) {
                        static_cast<double>(d.netlist->num_real_cells()));
   metrics.emplace_back("pins", static_cast<double>(d.netlist->num_pins()));
 
-  // Full forward+backward wavefront passes across thread counts. The serial
-  // engine is the reference; every parallel engine must agree bit for bit
-  // before its timing is trusted (and recorded).
-  Sta serial = d.make_sta();
-  serial.run();
-  double t1_ms = 0.0;
-  std::printf("full pass (forward+backward, best of %d):\n", kRepeats);
-  for (int threads : {1, 2, 4, 8}) {
-    StaConfig cfg = d.sta_config;
-    cfg.num_threads = threads;
-    Sta sta(d.netlist.get(), cfg, d.clock_period);
-    sta.run();
-    if (!timing_matches(serial, sta)) {
-      std::fprintf(stderr,
-                   "FATAL: %d-thread timing diverged from serial engine\n",
-                   threads);
-      return 1;
-    }
-    const double ms = best_full_pass_ms(sta, kRepeats);
-    if (threads == 1) t1_ms = ms;
-    const double speedup = t1_ms / ms;
-    std::printf("  t=%d : %8.3f ms  (speedup %.2fx, %llu wavefronts)\n",
-                threads, ms, speedup,
-                static_cast<unsigned long long>(sta.stats().wavefronts));
-    char key[32];
-    std::snprintf(key, sizeof key, "full_pass_t%d_ms", threads);
-    metrics.emplace_back(key, ms);
-    if (threads > 1) {
-      std::snprintf(key, sizeof key, "speedup_t%d", threads);
-      metrics.emplace_back(key, speedup);
-    }
-  }
+  // Full forward+backward passes.
+  Sta sta = d.make_sta();
+  sta.run();
+  const double full_ms = best_full_pass_ms(sta, kRepeats);
+  std::printf("full pass (forward+backward, best of %d): %8.3f ms\n",
+              kRepeats, full_ms);
+  metrics.emplace_back("full_pass_t1_ms", full_ms);
 
   // Endpoint-slack scan: the caller-provided-buffer overload (flat SoA read
   // plus a reused vector) against the allocating overload, over the hot
   // access pattern of the flow's prioritized-endpoint bookkeeping.
   {
     const int kScans = 2000;
-    std::span<const PinId> eps = serial.endpoints();
+    std::span<const PinId> eps = sta.endpoints();
     std::vector<double> buf;
     double t0 = now_sec();
-    for (int i = 0; i < kScans; ++i) serial.endpoint_slacks(eps, buf);
+    for (int i = 0; i < kScans; ++i) sta.endpoint_slacks(eps, buf);
     const double reuse_ms = 1e3 * (now_sec() - t0);
     t0 = now_sec();
     double sink = 0.0;
     for (int i = 0; i < kScans; ++i) {
-      std::vector<double> fresh = serial.endpoint_slacks(eps);
+      std::vector<double> fresh = sta.endpoint_slacks(eps);
       sink += fresh.empty() ? 0.0 : fresh[0];
     }
     const double alloc_ms = 1e3 * (now_sec() - t0);

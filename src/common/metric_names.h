@@ -2,12 +2,12 @@
 //
 // Metric names are stringly-typed at the recording site (registry lookups
 // are find-or-register), which made typos unfindable: a misspelled
-// "train.cache_hit" would silently register a fresh counter and dashboards
-// would read zero forever. This header is the single source of truth — the
-// registry's find-or-register path debug-asserts that any *new* name either
-// appears below or carries one of the sanctioned dynamic prefixes, and a
-// unit test plus the CI exposition scrape cross-check the manifest against
-// what a real run registers.
+// "train.checkpoint_written" would silently register a fresh counter and
+// dashboards would read zero forever. This header is the single source of
+// truth — the registry's find-or-register path debug-asserts that any *new*
+// name either appears below or carries one of the sanctioned dynamic
+// prefixes, and a unit test plus the CI exposition scrape cross-check the
+// manifest against what a real run registers.
 //
 // Adding a metric: add the name to exactly one list below (counters,
 // gauges, histograms), in sorted order, then record it. Dynamic families
@@ -52,13 +52,7 @@ inline constexpr std::string_view kCounterNames[] = {
     "sta.pin_updates.backward",
     "sta.pin_updates.forward",
     "sta.relevel_batches",
-    "sta.wavefronts",
     "trace.events_dropped",
-    "train.cache_bytes",
-    "train.cache_evictions",
-    "train.cache_hits",
-    "train.cache_insertions",
-    "train.cache_misses",
     "train.cancelled",
     "train.checkpoint_failures",
     "train.checkpoints_skipped",
@@ -80,7 +74,6 @@ inline constexpr std::string_view kGaugeNames[] = {
     "serve.jobs_running",
     "serve.queue_depth",
     "serve.stats_watchers",
-    "train.cache_resident_bytes",
 };
 
 inline constexpr std::string_view kHistogramNames[] = {

@@ -13,24 +13,12 @@
 // mutation path. `collapse()` discards the backlog while keeping sequence
 // numbers monotone; a consumer whose cursor predates the collapse point is
 // told so (`Underflow`) and must fall back to a full recompute.
-//
-// The journal also maintains a Zobrist-style 128-bit state hash: every
-// record() XORs in a seeded per-(sequence, kind, cell) key, so the hash is
-// an O(1)-incremental fingerprint of the netlist's entire mutation history.
-// Folding the sequence number into each key makes the hash order-sensitive
-// and repeat-safe (two resizes of the same cell do not cancel, unlike a
-// plain occupancy Zobrist), which is what a history fingerprint needs.
-// Copying a netlist copies the hash; collapse() leaves it untouched (it
-// discards bookkeeping, not state). Replaying the same mutation sequence
-// from the same start therefore reproduces the same hash bit for bit —
-// this keys the rollout flow-outcome cache (rl/flow_cache.h).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/ids.h"
 
 namespace rlccd {
@@ -58,13 +46,8 @@ class MutationJournal {
   [[nodiscard]] std::uint64_t seq() const { return base_ + entries_.size(); }
 
   void record(MutationKind kind, CellId cell) {
-    state_hash_ ^= hash128(
-        seq(), (static_cast<std::uint64_t>(kind) << 32) | cell.value);
     entries_.push_back(Mutation{kind, cell});
   }
-
-  // Incremental fingerprint of the full mutation history (see file header).
-  [[nodiscard]] const Hash128& state_hash() const { return state_hash_; }
 
   // Entries in [from, seq()). `underflow` (when non-null) is set when `from`
   // predates the retained window, in which case the full backlog is returned
@@ -94,7 +77,6 @@ class MutationJournal {
  private:
   std::vector<Mutation> entries_;
   std::uint64_t base_ = 0;
-  Hash128 state_hash_;
 };
 
 }  // namespace rlccd

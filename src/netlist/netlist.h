@@ -129,13 +129,6 @@ class Netlist {
   // -- mutation journal ------------------------------------------------------
   // Record of all timing-relevant edits; consumed by the incremental STA.
   [[nodiscard]] const MutationJournal& journal() const { return journal_; }
-  // Zobrist fingerprint of the netlist's mutation history: two netlists
-  // built (or copied, then edited) through the same mutation sequence share
-  // a hash; any divergence in the sequence changes it. Keys the rollout
-  // flow-outcome cache.
-  [[nodiscard]] const Hash128& state_hash() const {
-    return journal_.state_hash();
-  }
   // Discards the journaled backlog (sequence numbers stay monotone). Call
   // once construction is finished so later copies don't drag it along.
   void collapse_journal() { journal_.collapse(); }

@@ -441,91 +441,4 @@ Tensor spmm(const SparseOperand& sp, const Tensor& x) {
   return out;
 }
 
-Tensor spmm_blocked(const SparseOperand& sp, const Tensor& x,
-                    std::size_t blocks) {
-  RLCCD_EXPECTS(blocks >= 1);
-  RLCCD_EXPECTS(x.rows() == sp.matrix.cols * blocks);
-  const std::size_t n = x.cols();
-  const std::size_t in_rows = sp.matrix.cols;
-  const std::size_t out_rows = sp.matrix.rows;
-  Tensor out = make_result(out_rows * blocks, n, {x.ptr()});
-  TensorImpl* xi = x.ptr().get();
-  TensorImpl* oi = out.ptr().get();
-  const SparseMatrix& a = sp.matrix;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* xblock = xi->value.data() + b * in_rows * n;
-    float* oblock = oi->value.data() + b * out_rows * n;
-    for (std::size_t r = 0; r < a.rows; ++r) {
-      float* orow = oblock + r * n;
-      for (std::uint32_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-        const float v = a.values[k];
-        const float* xrow = xblock + a.col_idx[k] * n;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += v * xrow[j];
-      }
-    }
-  }
-  if (oi->requires_grad) {
-    const SparseMatrix* at = &sp.matrix_t;
-    oi->backward_fn = [xi, oi, at, n, blocks, in_rows, out_rows]() {
-      if (!wants_grad(xi)) return;
-      xi->ensure_grad();
-      // dX_b = A^T * dO_b per block.
-      for (std::size_t b = 0; b < blocks; ++b) {
-        float* xgblock = xi->grad.data() + b * in_rows * n;
-        const float* gblock = oi->grad.data() + b * out_rows * n;
-        for (std::size_t r = 0; r < at->rows; ++r) {
-          float* xg = xgblock + r * n;
-          for (std::uint32_t k = at->row_ptr[r]; k < at->row_ptr[r + 1]; ++k) {
-            const float v = at->values[k];
-            const float* grow = gblock + at->col_idx[k] * n;
-            for (std::size_t j = 0; j < n; ++j) xg[j] += v * grow[j];
-          }
-        }
-      }
-    };
-  }
-  return out;
-}
-
-Tensor add_block_rows(const Tensor& a, const Tensor& rows,
-                      std::size_t blocks) {
-  RLCCD_EXPECTS(blocks >= 1);
-  RLCCD_EXPECTS(rows.rows() == blocks && rows.cols() == a.cols());
-  RLCCD_EXPECTS(a.rows() % blocks == 0);
-  const std::size_t block_rows = a.rows() / blocks;
-  const std::size_t n = a.cols();
-  Tensor out = make_result(a.rows(), n, {a.ptr(), rows.ptr()});
-  TensorImpl* ai = a.ptr().get();
-  TensorImpl* ri = rows.ptr().get();
-  TensorImpl* oi = out.ptr().get();
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* rrow = ri->value.data() + b * n;
-    for (std::size_t i = 0; i < block_rows; ++i) {
-      const std::size_t off = (b * block_rows + i) * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        oi->value[off + j] = ai->value[off + j] + rrow[j];
-      }
-    }
-  }
-  if (oi->requires_grad) {
-    oi->backward_fn = [ai, ri, oi, blocks, block_rows, n]() {
-      if (wants_grad(ai)) {
-        ai->ensure_grad();
-        for (std::size_t i = 0; i < oi->size(); ++i) ai->grad[i] += oi->grad[i];
-      }
-      if (wants_grad(ri)) {
-        ri->ensure_grad();
-        for (std::size_t b = 0; b < blocks; ++b) {
-          float* rg = ri->grad.data() + b * n;
-          for (std::size_t i = 0; i < block_rows; ++i) {
-            const float* g = oi->grad.data() + (b * block_rows + i) * n;
-            for (std::size_t j = 0; j < n; ++j) rg[j] += g[j];
-          }
-        }
-      }
-    };
-  }
-  return out;
-}
-
 }  // namespace rlccd::ops

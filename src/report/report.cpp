@@ -511,6 +511,11 @@ std::string ReportDiff::to_text() const {
   append_line(out, "%-24s %14s %14s %9s  %s", "metric", "base", "candidate",
               "delta%", "verdict");
   for (const Entry& e : entries) {
+    if (e.missing) {
+      append_line(out, "%-24s %14.4f %14s %9s  %s", e.name.c_str(), e.base,
+                  "missing", "-", e.regressed ? "REGRESSED" : "-");
+      continue;
+    }
     append_line(out, "%-24s %14.4f %14.4f %+8.2f%%  %s", e.name.c_str(),
                 e.base, e.candidate, e.delta_pct,
                 e.regressed ? "REGRESSED" : (e.checked ? "ok" : "-"));
@@ -538,6 +543,8 @@ std::string ReportDiff::to_json() const {
     out += e.checked ? "true" : "false";
     out += ",\"regressed\":";
     out += e.regressed ? "true" : "false";
+    out += ",\"missing\":";
+    out += e.missing ? "true" : "false";
     out += '}';
   }
   out += "]}";
@@ -621,15 +628,16 @@ ReportDiff diff_runs(const RunReport& base, const RunReport& candidate,
          static_cast<double>(candidate.trace_pids.size()));
   }
 
-  // Bench metrics present in both runs. Ratio metrics (speedups and work
+  // Bench metrics of the baseline. Ratio metrics (speedups and work
   // reductions, higher is better) are hardware-comparable and fail the diff
-  // when the candidate drops more than the threshold below the baseline;
-  // absolute times stay informational because CI machines vary.
-  if (base.has_bench && candidate.has_bench) {
+  // when the candidate drops more than the threshold below the baseline, or
+  // does not report them at all (a bench that stopped emitting a guarded
+  // metric, or a missing BENCH_*.json); absolute times stay informational
+  // because CI machines vary.
+  if (base.has_bench) {
     auto is_ratio = [](const std::string& name) {
       return name.find("speedup") != std::string::npos ||
-             name.find("reduction") != std::string::npos ||
-             name.find("hit_rate") != std::string::npos;
+             name.find("reduction") != std::string::npos;
     };
     for (const auto& metric : base.bench_metrics) {
       const std::string& name = metric.first;
@@ -637,17 +645,21 @@ ReportDiff diff_runs(const RunReport& base, const RunReport& candidate,
       const auto it = std::find_if(
           candidate.bench_metrics.begin(), candidate.bench_metrics.end(),
           [&](const auto& m) { return m.first == name; });
-      if (it == candidate.bench_metrics.end()) continue;
+      const bool ratio = is_ratio(name);
       ReportDiff::Entry e;
       e.name = name;
       e.base = base_value;
-      e.candidate = it->second;
-      e.delta_pct = pct_of(e.candidate - e.base, e.base);
-      if (is_ratio(name)) {
+      e.missing = it == candidate.bench_metrics.end();
+      if (e.missing && !ratio) continue;
+      if (!e.missing) {
+        e.candidate = it->second;
+        e.delta_pct = pct_of(e.candidate - e.base, e.base);
+      }
+      if (ratio) {
         e.checked = thresholds.max_speedup_regress_pct >= 0.0;
         e.regressed =
             e.checked &&
-            e.delta_pct < -thresholds.max_speedup_regress_pct;
+            (e.missing || e.delta_pct < -thresholds.max_speedup_regress_pct);
       }
       diff.entries.push_back(std::move(e));
     }

@@ -141,6 +141,7 @@ struct ReportDiff {
     double delta_pct = 0.0;  // signed change relative to base
     bool checked = false;    // participates in the regression verdict
     bool regressed = false;
+    bool missing = false;    // guarded metric absent from the candidate
   };
   std::vector<Entry> entries;
 

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/status.h"
 
 namespace rlccd {
@@ -70,13 +69,6 @@ struct RolloutAuditRecord {
   bool poisoned = false;
   bool cancelled = false;  // rollout watchdog fired
   bool crashed = false;    // isolated worker process lost (restarts exhausted)
-  // Memoization provenance: the rollout's state hash and whether the flow
-  // outcome was served from the cache. In-memory only — deliberately absent
-  // from to_json(), so the audit JSONL of a cached run stays byte-identical
-  // to a cache-disabled run (pinned by trainer_cache_test); hit counts are
-  // observable through the train.cache_* metrics and the trace instead.
-  Hash128 state_hash;
-  bool cache_hit = false;
   const SelectionAudit* audit = nullptr;  // never null when emitted
 
   [[nodiscard]] std::string to_json() const;  // one JSONL object

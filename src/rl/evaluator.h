@@ -1,30 +1,11 @@
 // The one seam through which the trainer turns a selection into a reward.
 //
 // The REINFORCE trainer evaluates every sampled endpoint selection by
-// running the full placement flow on a pristine copy of the design. It has
-// three execution backends — in-thread workers, the batched-inference path
-// and fork-isolated worker processes — and before this API each carried its
-// own ad-hoc evaluation lambda. RolloutEvaluator unifies them: every
-// backend builds an EvalRequest and receives an EvalOutcome, so the
-// flow-outcome cache (rl/flow_cache.h) plugs in at exactly one place and a
-// memoized outcome is indistinguishable from a fresh one everywhere
-// downstream (including on the isolation wire, which ships the same struct
-// through the same codec).
-//
-// Memoization key: the pristine netlist's Zobrist mutation-history hash
-// (Netlist::state_hash — every rollout scratch is copy-assigned from the
-// pristine design, so it starts at exactly this hash) XOR an unordered fold
-// of per-selected-pin keys. The fold is order-insensitive on purpose: the
-// flow applies prioritization margins per endpoint, so its outcome depends
-// on the selection *set*, not the order the policy emitted it — permuted
-// trajectories share one cache line.
-//
-// Determinism: the placement flow is a deterministic function of (pristine
-// netlist, selection set, FlowConfig), so a cache hit returns bit-identical
-// values to re-evaluation. Training history with the cache enabled is
-// byte-identical to a cache-disabled run (pinned by trainer_cache_test);
-// only the telemetry (work skipped) differs. Cancelled evaluations are
-// never cached — their partial summaries depend on watchdog timing.
+// running the full placement flow on a pristine copy of the design. Both
+// execution backends — in-thread workers and fork-isolated worker
+// processes — go through RolloutEvaluator, which owns the pool of scratch
+// netlists the flows run on and the reward normalization, and returns an
+// EvalOutcome (the struct the isolation wire ships back to the parent).
 #pragma once
 
 #include <memory>
@@ -33,69 +14,41 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/hash.h"
 #include "designgen/generator.h"
 #include "opt/flow.h"
 
 namespace rlccd {
 
-class FlowOutcomeCache;
-
-// One evaluation ask: the selection to prioritize plus the cooperative
-// watchdog token of the calling backend (null in isolated children, where
-// the supervisor's SIGKILL deadline supersedes it).
-struct EvalRequest {
-  std::span<const PinId> selection;
-  const CancelToken* cancel = nullptr;
-};
-
-// What an evaluation produced — the flow summary the reward is computed
-// from, plus provenance. Cached and fresh outcomes carry the same fields
-// and serialize identically on the isolation wire (rl/isolation/wire.h).
+// What an evaluation produced: the flow summary the reward is computed
+// from, plus its status.
 struct EvalOutcome {
   TimingSummary summary;    // final flow summary (TNS/WNS/NVE)
   double reward = 0.0;      // normalized against the default flow
-  bool flow_ran = false;    // a valid outcome exists (fresh or memoized)
+  bool flow_ran = false;    // the flow ran and produced a summary
   bool cancelled = false;   // the watchdog fired mid-flow; summary partial
-  // Provenance: the memoization key of this evaluation and whether the
-  // outcome was served from the cache instead of running the flow.
-  Hash128 state_hash;
-  bool cache_hit = false;
-  // Telemetry skeleton of the flow run that produced the values: wall-clock
-  // and STA pin updates. Preserved on a hit (it then reads as "the work this
-  // hit saved").
-  double flow_sec = 0.0;
-  std::uint64_t sta_pin_updates = 0;
 };
 
 class RolloutEvaluator {
  public:
-  // `design` and `cache` are not owned and must outlive the evaluator;
-  // `cache` may be null (memoization off).
-  RolloutEvaluator(const Design* design, FlowConfig flow,
-                   FlowOutcomeCache* cache);
+  // `design` is not owned and must outlive the evaluator.
+  RolloutEvaluator(const Design* design, FlowConfig flow);
 
-  // Evaluates the request through the cache: probe, on miss run the flow
-  // and insert. Thread-safe (the scratch pool and cache take their own
-  // locks); concurrent evaluations of the same key may both run the flow,
-  // which is benign — they produce identical values.
-  [[nodiscard]] EvalOutcome evaluate(const EvalRequest& request);
+  // Runs the placement flow with `selection` prioritized and applies the
+  // reward transform. `cancel` is the calling backend's cooperative
+  // watchdog (null in isolated children, where the supervisor's SIGKILL
+  // deadline supersedes it). Thread-safe: the scratch pool takes its own
+  // lock.
+  [[nodiscard]] EvalOutcome evaluate(std::span<const PinId> selection,
+                                     const CancelToken* cancel);
 
-  // Uncached full evaluation for callers that need the complete FlowResult
-  // (the facade's final comparison flows, ablation benches).
+  // Full evaluation for callers that need the complete FlowResult (the
+  // facade's final comparison flows, ablation benches).
   [[nodiscard]] FlowResult evaluate_full(std::span<const PinId> selection,
                                          const CancelToken* cancel);
 
   // Reward transform applied to every outcome: (tns - shift) / denom. The
-  // trainer sets it once the default flow's TNS is known; rewards are
-  // recomputed on cache hits with the current transform, so memoized
-  // entries never carry a stale normalization.
+  // trainer sets it once the default flow's TNS is known.
   void set_reward_transform(double shift, double denom);
-
-  // Memoization key for a selection set against the pristine design.
-  [[nodiscard]] Hash128 state_hash(std::span<const PinId> selection) const;
-
-  [[nodiscard]] FlowOutcomeCache* cache() const { return cache_; }
 
  private:
   // Pops a scratch netlist from the pool (or allocates the first time) and
@@ -106,8 +59,6 @@ class RolloutEvaluator {
 
   const Design* design_;
   FlowConfig flow_;
-  FlowOutcomeCache* cache_;
-  Hash128 base_hash_;  // pristine netlist state at construction
   double reward_shift_ = 0.0;
   double reward_denom_ = 1.0;
 

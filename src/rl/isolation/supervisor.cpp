@@ -443,11 +443,13 @@ std::vector<WorkerOutcome> RolloutSupervisor::run(const WorkerJob& job) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) drain(w);
     }
 
-    // Enforcement: hard deadline and heartbeat silence.
+    // Enforcement: hard deadline and heartbeat silence. A killed attempt
+    // stays kRunning until its EOF is read; it must not be killed (and
+    // counted) again on the polls in between.
     now = mono_sec();
     for (int w = 0; w < n; ++w) {
       Slot& s = slots[static_cast<std::size_t>(w)];
-      if (s.state != Slot::State::kRunning) continue;
+      if (s.state != Slot::State::kRunning || s.killed) continue;
       const bool over_deadline =
           config_.deadline_sec > 0.0 &&
           now - s.started > config_.deadline_sec;

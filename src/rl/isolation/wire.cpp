@@ -67,8 +67,6 @@ Status parse_audit(std::string_view bytes, std::size_t& offset,
   return Status();
 }
 
-}  // namespace
-
 void append_eval_outcome(std::string& out, const EvalOutcome& outcome) {
   ipc_append_pod(out, outcome.summary.wns);
   ipc_append_pod(out, outcome.summary.tns);
@@ -79,11 +77,6 @@ void append_eval_outcome(std::string& out, const EvalOutcome& outcome) {
   ipc_append_pod(out, outcome.reward);
   ipc_append_pod(out, static_cast<std::uint8_t>(outcome.flow_ran));
   ipc_append_pod(out, static_cast<std::uint8_t>(outcome.cancelled));
-  ipc_append_pod(out, outcome.state_hash.lo);
-  ipc_append_pod(out, outcome.state_hash.hi);
-  ipc_append_pod(out, static_cast<std::uint8_t>(outcome.cache_hit));
-  ipc_append_pod(out, outcome.flow_sec);
-  ipc_append_pod(out, outcome.sta_pin_updates);
 }
 
 Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
@@ -98,20 +91,15 @@ Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
   RLCCD_TRY(ipc_parse_pod(bytes, offset, out.summary.worst_hold_slack,
                           "outcome hold slack"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, out.reward, "outcome reward"));
-  std::uint8_t flow_ran = 0, cancelled = 0, cache_hit = 0;
+  std::uint8_t flow_ran = 0, cancelled = 0;
   RLCCD_TRY(ipc_parse_pod(bytes, offset, flow_ran, "outcome flow_ran"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, cancelled, "outcome cancelled"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.state_hash.lo, "state hash lo"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.state_hash.hi, "state hash hi"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, cache_hit, "outcome cache_hit"));
   out.flow_ran = flow_ran != 0;
   out.cancelled = cancelled != 0;
-  out.cache_hit = cache_hit != 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.flow_sec, "outcome flow_sec"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.sta_pin_updates,
-                          "outcome pin updates"));
   return Status();
 }
+
+}  // namespace
 
 void encode_rollout_wire(const RolloutWire& wire, std::string& out) {
   out.clear();

@@ -3,9 +3,9 @@
 // the trainer.
 //
 // The wire carries exactly what the in-thread worker hands the trainer —
-// the EvalOutcome of the reward evaluation (the same struct every backend
-// receives from RolloutEvaluator, so cached and fresh outcomes serialize
-// identically), per-parameter gradients, the decision-provenance audit —
+// the EvalOutcome of the reward evaluation (the same struct the thread
+// backend receives from RolloutEvaluator), per-parameter gradients, the
+// decision-provenance audit —
 // plus the child's telemetry delta (counters, histograms and the span tree
 // recorded while the rollout ran), which the parent merge_delta()s into the
 // global registry so metrics agree with the thread backend. Encoding is
@@ -32,7 +32,9 @@ struct RolloutWire {
   // v3: counter_deltas + spans replaced by a full TelemetrySnapshot delta
   // (adds gauges and histograms) using the shared common/telemetry_wire
   // codec — the same byte layout ObsDelta frames carry.
-  static constexpr std::uint8_t kVersion = 3;
+  // v4: the outcome carries only the summary, reward and status flags
+  // (state hash, hit provenance and flow-cost skeleton dropped).
+  static constexpr std::uint8_t kVersion = 4;
 
   EvalOutcome outcome;
   std::int32_t steps = 0;
@@ -46,13 +48,6 @@ struct RolloutWire {
   // rollout children carry trace events alone, so nothing double-counts.
   TelemetrySnapshot telemetry;
 };
-
-// EvalOutcome codec, shared between the rollout wire and anything else that
-// persists outcomes (e.g. tests round-tripping cache entries): one field at
-// a time, fixed width, no padding bytes on the wire.
-void append_eval_outcome(std::string& out, const EvalOutcome& outcome);
-Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
-                          EvalOutcome& out);
 
 void encode_rollout_wire(const RolloutWire& wire, std::string& out);
 // Rejects unknown versions and any truncated / overlong byte stream with a

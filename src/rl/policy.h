@@ -58,32 +58,10 @@ class Policy {
   // entropy, top-k probabilities, mask events) is recorded into it; the
   // capture is read-only — it consumes no RNG draws and never changes the
   // trajectory, so audited and unaudited runs are bit-identical.
-  //
-  // When `forced` is non-null the rollout is a teacher-forced replay: step t
-  // takes (*forced)[t] instead of sampling, consumes no RNG draws, and skips
-  // fault injection (the triggers were already consumed when the trajectory
-  // was first decoded). The op sequence is otherwise identical, so a
-  // StepwiseBackward replay of a batched-inference trajectory accumulates
-  // bit-identical parameter gradients to a live per-worker rollout.
   RolloutResult rollout(const DesignGraph& graph, SelectionEnv& env, Rng& rng,
                         bool greedy = false,
                         RolloutMode mode = RolloutMode::FullGraph,
-                        SelectionAudit* audit = nullptr,
-                        const std::vector<std::size_t>* forced = nullptr) const;
-
-  // Lock-step batched inference over `envs.size()` independent trajectories
-  // on the same design graph: each step stacks the still-active workers'
-  // feature matrices into one [active * num_cells, d] tensor and runs a
-  // single EP-GNN / LSTM / attention evaluation for all of them
-  // (`forward_batched`, batched LSTM rows, add_block_rows), then samples
-  // each worker's action from its own RNG stream. Every batched op is
-  // row/block-independent, so actions, log-probs and audit records are
-  // bit-identical to per-worker rollout() calls with the same RNG streams.
-  // Gradient-free (RolloutMode::Inference semantics); pair with a
-  // teacher-forced StepwiseBackward replay for training.
-  std::vector<RolloutResult> rollout_batched(
-      const DesignGraph& graph, std::vector<SelectionEnv>& envs,
-      std::vector<Rng>& rngs, const std::vector<SelectionAudit*>& audits) const;
+                        SelectionAudit* audit = nullptr) const;
 
   [[nodiscard]] std::vector<Tensor> parameters() const;
   // EP-GNN weights only — the transferable part (paper Sec. IV-B: the

@@ -14,7 +14,6 @@
 #include "common/trace.h"
 #include "nn/serialize.h"
 #include "rl/checkpoint.h"
-#include "rl/flow_cache.h"
 #include "rl/isolation/supervisor.h"
 #include "rl/isolation/wire.h"
 
@@ -26,10 +25,7 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
       policy_(policy),
       config_(config),
       graph_(*design),
-      cache_(config_.flow_cache_mb > 0
-                 ? std::make_unique<FlowOutcomeCache>(config_.flow_cache_mb)
-                 : nullptr),
-      evaluator_(design, config_.flow, cache_.get()) {
+      evaluator_(design, config_.flow) {
   RLCCD_EXPECTS(design != nullptr && policy != nullptr);
   RLCCD_EXPECTS(config.workers >= 1);
   RLCCD_EXPECTS(config.checkpoint_every >= 1);
@@ -41,8 +37,6 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
                      (config_.flow.observer == nullptr &&
                       config_.flow.cancel == nullptr));
 }
-
-ReinforceTrainer::~ReinforceTrainer() = default;
 
 FlowResult ReinforceTrainer::evaluate_selection(
     std::span<const PinId> selection) const {
@@ -204,12 +198,11 @@ TrainStats ReinforceTrainer::train() {
       std::max({std::abs(stats.default_tns), 0.02 * std::abs(stats.begin_tns),
                 1e-3});
   // From here on every reward evaluation — worker rollouts and the final
-  // greedy decode — goes through the memoizing evaluator with this
-  // normalization (rewards are recomputed on cache hits, never stored).
+  // greedy decode — goes through the evaluator with this normalization.
   evaluator_.set_reward_transform(stats.default_tns, reward_denom);
 
   struct WorkerOut {
-    EvalOutcome outcome;   // reward evaluation (fresh or memoized)
+    EvalOutcome outcome;   // reward evaluation
     int steps = 0;
     bool poisoned = false;  // non-finite logits/TNS/reward/gradients
     bool crashed = false;   // isolated worker lost (restarts exhausted)
@@ -253,10 +246,6 @@ TrainStats ReinforceTrainer::train() {
     }
     const auto t_iter = std::chrono::steady_clock::now();
     ScopedSpan iter_span("iteration");
-    // Age the flow cache once per iteration: entries last touched several
-    // iterations ago lose replacement fights against the current policy's
-    // sampling distribution.
-    if (cache_ != nullptr) cache_->new_generation();
     // Clone policies on the main thread (cheap, deterministic).
     std::vector<Policy> clones;
     clones.reserve(static_cast<std::size_t>(config_.workers));
@@ -264,47 +253,21 @@ TrainStats ReinforceTrainer::train() {
 
     std::vector<WorkerOut> outs(static_cast<std::size_t>(config_.workers));
 
-    // Phase A (batched mode only): one lock-step batched decode for every
-    // worker on this thread. Forking the root RNG is pure (it never mutates
-    // the root state), so the per-worker streams are the exact streams the
-    // per-worker path forks inside its threads, and checkpoints carry the
-    // same root RNG state either way.
-    std::vector<Policy::RolloutResult> ros;
-    if (config_.batched_inference && !use_isolation) {
-      RLCCD_SPAN("rollout_batched");
-      std::vector<SelectionEnv> envs;
-      std::vector<Rng> rngs;
-      std::vector<SelectionAudit*> audits;
-      envs.reserve(static_cast<std::size_t>(config_.workers));
-      rngs.reserve(static_cast<std::size_t>(config_.workers));
-      audits.reserve(static_cast<std::size_t>(config_.workers));
-      for (int w = 0; w < config_.workers; ++w) {
-        envs.emplace_back(&graph_, config_.overlap_threshold);
-        rngs.push_back(root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
-                                     static_cast<std::uint64_t>(w)));
-        audits.push_back(&outs[static_cast<std::size_t>(w)].audit);
-      }
-      ros = policy_->rollout_batched(graph_, envs, rngs, audits);
-    }
-
-    // Rollout body shared by both backends: decode (or adopt the batched
-    // phase-A result), run the reward flow, scale this clone's gradients.
-    // Runs on a worker thread, or — isolated — inside a forked child.
+    // Rollout body shared by both backends: decode, run the reward flow,
+    // scale this clone's gradients. Runs on a worker thread, or (isolated)
+    // inside a forked child. Forking the root RNG is pure (it never mutates
+    // the root state), so checkpoints carry the same root RNG state on
+    // both backends.
     auto rollout_body = [&](int w, Policy& pol, WorkerOut& out,
-                            const CancelToken* watchdog,
-                            Policy::RolloutResult* pre) {
-      Policy::RolloutResult ro;
-      if (pre != nullptr) {
-        ro = std::move(*pre);
-      } else {
-        Rng rng = root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
-                                static_cast<std::uint64_t>(w));
-        SelectionEnv env(&graph_, config_.overlap_threshold);
-        // Stepwise rollout: sum_t grad(log pi_t) lands in the clone's
-        // parameter grads (zero on entry) with per-step graphs freed.
-        ro = pol.rollout(graph_, env, rng, /*greedy=*/false,
-                         Policy::RolloutMode::StepwiseBackward, &out.audit);
-      }
+                            const CancelToken* watchdog) {
+      Rng rng = root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
+                              static_cast<std::uint64_t>(w));
+      SelectionEnv env(&graph_, config_.overlap_threshold);
+      // Stepwise rollout: sum_t grad(log pi_t) lands in the clone's
+      // parameter grads (zero on entry) with per-step graphs freed.
+      Policy::RolloutResult ro =
+          pol.rollout(graph_, env, rng, /*greedy=*/false,
+                      Policy::RolloutMode::StepwiseBackward, &out.audit);
       out.steps = ro.steps;
       out.selection = ro.selected;
       if (ro.poisoned) {
@@ -314,7 +277,7 @@ TrainStats ReinforceTrainer::train() {
         RLCCD_LOG_WARN("worker %d: non-finite logits; trajectory dropped", w);
         return;
       }
-      out.outcome = evaluator_.evaluate({ro.selected, watchdog});
+      out.outcome = evaluator_.evaluate(ro.selected, watchdog);
       if (out.outcome.cancelled) {
         ctr_cancelled.increment();
         RLCCD_TRACE_INSTANT("train.rollout_cancelled");
@@ -335,23 +298,6 @@ TrainStats ReinforceTrainer::train() {
             "worker %d: non-finite reward (TNS %g); trajectory dropped", w,
             out.outcome.summary.tns);
         return;
-      }
-
-      // Phase C (batched mode only): teacher-forced StepwiseBackward
-      // replay of the decoded trajectory on this worker's clone. The
-      // replay runs the identical op sequence with the identical inputs
-      // (same clone parameters, same env transitions, forced actions), so
-      // it accumulates bit-identical sum_t grad(log pi_t) to a live
-      // per-worker stepwise rollout — without holding any graph across the
-      // batched decode.
-      if (pre != nullptr) {
-        SelectionEnv replay_env(&graph_, config_.overlap_threshold);
-        Rng replay_rng(0);  // never drawn from in forced mode
-        Policy::RolloutResult replay = pol.rollout(
-            graph_, replay_env, replay_rng, /*greedy=*/false,
-            Policy::RolloutMode::StepwiseBackward, /*audit=*/nullptr,
-            &ro.actions);
-        RLCCD_ASSERT(!replay.poisoned && replay.steps == ro.steps);
       }
 
       // REINFORCE: grad = -(r - b) * sum_t grad(log pi_t); the baseline
@@ -377,11 +323,9 @@ TrainStats ReinforceTrainer::train() {
 
     int n_crashed = 0;
     if (use_isolation) {
-      // Process backend: fork one supervised child per worker. Decoding is
-      // per-worker inside the child (phase A is skipped; the batched and
-      // per-worker decodes are pinned bit-identical by the equivalence
-      // tests), and the supervisor's SIGKILL deadline supersedes the
-      // cooperative watchdog, so the child runs its flow uncancellable.
+      // Process backend: fork one supervised child per worker. The
+      // supervisor's SIGKILL deadline supersedes the cooperative watchdog,
+      // so the child runs its flow uncancellable.
       SupervisorConfig scfg;
       scfg.workers = config_.workers;
       scfg.deadline_sec = config_.rollout_deadline_sec;
@@ -407,7 +351,7 @@ TrainStats ReinforceTrainer::train() {
               // deadline (here: until the supervisor kills it).
               fault_stall_point("rollout_stall");
               rollout_body(w, clones[static_cast<std::size_t>(w)], out,
-                           /*watchdog=*/nullptr, /*pre=*/nullptr);
+                           /*watchdog=*/nullptr);
             }
             RolloutWire wire;
             wire.outcome = out.outcome;
@@ -447,19 +391,6 @@ TrainStats ReinforceTrainer::train() {
         out.selection = std::move(wire.selection);
         out.grads = std::move(wire.grads);
         out.audit = std::move(wire.audit);
-        // Adopt the child's fresh flow outcome into the parent's cache: the
-        // child's own insert went into its copy-on-write image and died
-        // with the process. Hits need no re-insert (the entry predates the
-        // fork by construction), and cancelled or poisoned outcomes never
-        // enter the cache.
-        if (cache_ != nullptr && out.outcome.flow_ran &&
-            !out.outcome.cache_hit && !out.outcome.cancelled &&
-            !out.poisoned) {
-          // count_global=false: the child's insert delta is already in
-          // wire.telemetry, applied below.
-          cache_->insert(out.outcome.state_hash, out.outcome,
-                         /*count_global=*/false);
-        }
         // Re-apply what the child's rollout recorded, so global counters,
         // histograms and span trees agree with the thread backend.
         reg.merge_delta(wire.telemetry);
@@ -484,10 +415,7 @@ TrainStats ReinforceTrainer::train() {
           // Deterministic stall fault: parks the worker past its deadline.
           fault_stall_point("rollout_stall");
           rollout_body(w, clones[static_cast<std::size_t>(w)],
-                       outs[static_cast<std::size_t>(w)], &watchdog,
-                       config_.batched_inference
-                           ? &ros[static_cast<std::size_t>(w)]
-                           : nullptr);
+                       outs[static_cast<std::size_t>(w)], &watchdog);
         });
       }
       for (std::thread& t : threads) t.join();
@@ -507,8 +435,6 @@ TrainStats ReinforceTrainer::train() {
         rec.poisoned = out.poisoned;
         rec.cancelled = out.outcome.cancelled;
         rec.crashed = out.crashed;
-        rec.state_hash = out.outcome.state_hash;
-        rec.cache_hit = out.outcome.cache_hit;
         rec.audit = &out.audit;
         config_.audit->on_rollout(rec);
       }
@@ -518,9 +444,6 @@ TrainStats ReinforceTrainer::train() {
     int n_poisoned = 0;
     int n_cancelled = 0;
     for (const WorkerOut& out : outs) {
-      // Memoized evaluations count as flow runs: the cache returns exactly
-      // what the run would have produced, so TrainStats stays identical
-      // with the cache on or off.
       if (out.outcome.flow_ran) ++stats.flow_runs;
       if (out.poisoned) ++n_poisoned;
       if (out.outcome.cancelled) ++n_cancelled;
@@ -733,17 +656,13 @@ TrainStats ReinforceTrainer::train() {
     Policy::RolloutResult ro = policy_->rollout(
         graph_, env, rng, /*greedy=*/true, Policy::RolloutMode::Inference,
         config_.audit != nullptr ? &greedy_audit : nullptr);
-    // Cached evaluation: the greedy selection often repeats the best
-    // sampled trajectory, in which case this costs a probe, not a flow.
-    EvalOutcome geo = evaluator_.evaluate({ro.selected});
+    EvalOutcome geo = evaluator_.evaluate(ro.selected, /*cancel=*/nullptr);
     ++stats.flow_runs;
     if (config_.audit != nullptr) {
       RolloutAuditRecord rec;  // iteration -1 marks the greedy decode
       rec.tns = geo.summary.tns;
       rec.flow_ran = true;
       rec.poisoned = ro.poisoned;
-      rec.state_hash = geo.state_hash;
-      rec.cache_hit = geo.cache_hit;
       rec.audit = &greedy_audit;
       config_.audit->on_rollout(rec);
     }

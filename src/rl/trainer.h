@@ -26,8 +26,6 @@
 // worker with backoff and the iteration completes with the survivors.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,8 +38,6 @@
 
 namespace rlccd {
 
-class FlowOutcomeCache;
-
 struct TrainConfig {
   int workers = 8;
   int max_iterations = 40;
@@ -51,22 +47,6 @@ struct TrainConfig {
   double grad_clip = 5.0;
   double overlap_threshold = 0.3;  // rho (paper default)
   double baseline_decay = 0.7;
-  // Decode all workers' trajectories with one lock-step batched policy
-  // evaluation per step (EP-GNN / LSTM / attention over every still-active
-  // worker stacked into a single tensor) on the training thread, instead of
-  // `workers` independent single-row forwards inside the worker threads.
-  // Gradients come from a teacher-forced StepwiseBackward replay on each
-  // surviving worker's clone. Bit-identical TrainStats, audit records and
-  // checkpoints to the per-worker path (which is kept, and pinned against
-  // this one by the equivalence tests).
-  bool batched_inference = true;
-  // Flow-outcome cache budget in MiB (rl/flow_cache.h): memoizes reward
-  // evaluations by netlist-state hash, so a selection set the policy has
-  // already sampled skips the whole placement flow. 0 disables. Training
-  // history, checkpoints and audit bytes are identical either way — the
-  // flow is deterministic in the selection set — only the wall-clock and
-  // the train.cache_* metrics change.
-  std::size_t flow_cache_mb = 64;
   std::uint64_t seed = 1;
   FlowConfig flow;
   // Streams one ProgressEvent (phase "train", step "iteration") per
@@ -117,11 +97,11 @@ struct TrainConfig {
   // with the surviving trajectories (the crashed worker's audit record is
   // marked `crashed`). When on, `rollout_deadline_sec` becomes a hard
   // SIGKILL deadline enforced by the parent (superseding the cooperative
-  // watchdog) and decoding is per-worker inside each child (bit-identical
-  // to the batched path, which the equivalence tests pin). A crash-free
-  // isolated run produces bit-identical TrainStats, checkpoints and audit
-  // bytes to the thread backend. Ignored (with a warning) on platforms
-  // without fork(); the thread backend remains the default.
+  // watchdog). Each child decodes its own trajectory exactly as a worker
+  // thread does, so a crash-free isolated run produces bit-identical
+  // TrainStats, checkpoints and audit bytes to the thread backend. Ignored
+  // (with a warning) on platforms without fork(); the thread backend
+  // remains the default.
   bool isolate_workers = false;
   // Restarts allowed per worker per iteration; attempts = restarts + 1.
   int max_worker_restarts = 2;
@@ -162,26 +142,19 @@ struct TrainStats {
 class ReinforceTrainer {
  public:
   ReinforceTrainer(const Design* design, Policy* policy, TrainConfig config);
-  ~ReinforceTrainer();  // out of line: FlowOutcomeCache is incomplete here
 
   // Trains the policy in place; returns the full history and best solution.
   TrainStats train();
 
-  // Runs the placement flow, uncached, on a pristine copy with `selection`;
-  // returns the full flow result (used for final reporting and by ablation
-  // benches that need pass-by-pass detail). The two-argument form threads a
-  // watchdog token into the flow. Reward evaluations inside train() go
-  // through the memoizing RolloutEvaluator instead.
+  // Runs the placement flow on a pristine copy with `selection`; returns
+  // the full flow result (used for final reporting and by ablation benches
+  // that need pass-by-pass detail). The two-argument form threads a
+  // watchdog token into the flow.
   FlowResult evaluate_selection(std::span<const PinId> selection) const;
   FlowResult evaluate_selection(std::span<const PinId> selection,
                                 const CancelToken* cancel) const;
 
   [[nodiscard]] const DesignGraph& graph() const { return graph_; }
-  // The trainer's flow-outcome cache; null when flow_cache_mb == 0.
-  [[nodiscard]] FlowOutcomeCache* flow_cache() const { return cache_.get(); }
-  [[nodiscard]] const RolloutEvaluator& evaluator() const {
-    return evaluator_;
-  }
 
  private:
   const Design* design_;
@@ -189,10 +162,9 @@ class ReinforceTrainer {
   TrainConfig config_;
   DesignGraph graph_;
 
-  // Owned cache + the single evaluation seam every backend goes through.
-  // Mutable because evaluate_selection() is logically const but reuses the
-  // evaluator's internal scratch pool (guarded by its own mutex).
-  std::unique_ptr<FlowOutcomeCache> cache_;
+  // The evaluation seam every backend goes through. Mutable because
+  // evaluate_selection() is logically const but reuses the evaluator's
+  // internal scratch pool (guarded by its own mutex).
   mutable RolloutEvaluator evaluator_;
 };
 

@@ -1222,19 +1222,6 @@ struct DaemonLoop {
                   queue.count_in_state(JobState::kRetryWait),
                   due > 0.0 ? std::max(0.0, due - now2) : -1.0);
     out += buf;
-    // Rollout evaluation cache, merged up from every job child's deltas.
-    const std::uint64_t hits = reg.counter("train.cache_hits").value();
-    const std::uint64_t misses = reg.counter("train.cache_misses").value();
-    std::snprintf(buf, sizeof(buf),
-                  "\"cache\":{\"hits\":%llu,\"misses\":%llu,"
-                  "\"hit_rate\":%.4f},",
-                  static_cast<unsigned long long>(hits),
-                  static_cast<unsigned long long>(misses),
-                  hits + misses > 0
-                      ? static_cast<double>(hits) /
-                            static_cast<double>(hits + misses)
-                      : 0.0);
-    out += buf;
     out += "\"histograms\":{";
     bool first_h = true;
     for (const char* name : {"serve.queue_wait_sec", "serve.job_run_sec"}) {

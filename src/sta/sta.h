@@ -20,11 +20,8 @@
 //
 // Two evaluation modes:
 //   * run()    — full recompute of every pin (always correct, O(pins)).
-//     The full passes process the levelized graph as *wavefronts*: within
-//     one level every cell reads only prior-level (forward) or later-level
-//     (backward) values and writes only its own pins, so the per-level
-//     parallel-for over StaConfig::num_threads threads is race-free and
-//     bit-identical to the serial sweep at any thread count.
+//     The full passes sweep the levelized graph level by level: every cell
+//     reads only prior-level (forward) or later-level (backward) values.
 //   * update() — incremental: consumes the netlist's mutation journal, the
 //     clock schedule's dirty-flop list and pending margin edits, then
 //     re-propagates only the affected cones level-by-level over the
@@ -34,12 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "netlist/netlist.h"
 #include "sta/clock_schedule.h"
@@ -55,10 +50,6 @@ struct StaConfig {
   // When false, update() always falls back to a full run() — the
   // pre-incremental behavior, kept selectable for benchmarking.
   bool incremental = true;
-  // Worker threads for the full-pass wavefront kernels (1 = serial, the
-  // incremental frontier is always serial). Results are bit-identical
-  // across thread counts.
-  int num_threads = 1;
 };
 
 struct TimingSummary {
@@ -77,9 +68,6 @@ struct StaStats {
   std::uint64_t forward_pin_updates = 0;
   std::uint64_t backward_pin_updates = 0;
   std::uint64_t relevel_batches = 0;
-  // Level batches swept by the full passes (both directions); the unit of
-  // wavefront parallelism.
-  std::uint64_t wavefronts = 0;
   [[nodiscard]] std::uint64_t pin_updates() const {
     return forward_pin_updates + backward_pin_updates;
   }
@@ -179,19 +167,16 @@ class Sta {
   }
 
  private:
-  // -- full passes (wavefront kernels) ---------------------------------------
+  // -- full passes (level-ordered kernels) -----------------------------------
   void forward_pass();
   void backward_pass();
   // Forward-propagates one cell's pins: input pins pulled from their
   // driving nets, output pin from the worst input arc. Writes only `cell`'s
-  // own pins; reads only lower-level values. Safe to run concurrently for
-  // all cells of one wavefront.
+  // own pins; reads only lower-level values.
   void forward_cell_kernel(CellId cell);
   // Backward analog: output required pulled from the net's sinks, input
   // requireds derived through the cell arcs.
   void backward_cell_kernel(CellId cell);
-  // Lazily built pool sized to config_.num_threads.
-  ThreadPool& pool();
 
   // -- incremental machinery --------------------------------------------------
   void collect_seeds(std::span<const Mutation> pending);
@@ -242,7 +227,6 @@ class Sta {
   bool has_run_ = false;
   std::uint64_t journal_cursor_ = 0;
   std::vector<PinId> margin_dirty_;
-  std::unique_ptr<ThreadPool> pool_;
 
   StaStats stats_;
   // Registry mirror: per-instance stats_ deltas are flushed onto the
@@ -255,7 +239,6 @@ class Sta {
   MetricsCounter* ctr_forward_pins_;
   MetricsCounter* ctr_backward_pins_;
   MetricsCounter* ctr_relevel_batches_;
-  MetricsCounter* ctr_wavefronts_;
   MetricsHistogram* hist_update_pins_;
   void flush_stats_to_registry();
 

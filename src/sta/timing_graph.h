@@ -49,9 +49,9 @@ class TimingGraph {
   // Combinational cells in ascending (level, id) order.
   [[nodiscard]] std::span<const CellId> order() const { return order_; }
 
-  // Wavefront view of order(): the cells of one level, i.e. one batch whose
+  // Level view of order(): the cells of one level, i.e. one batch whose
   // members depend only on strictly lower levels (forward) / strictly
-  // higher levels (backward) and can be processed in parallel.
+  // higher levels (backward).
   [[nodiscard]] std::span<const CellId> level_cells(std::uint32_t lvl) const {
     RLCCD_EXPECTS(lvl + 1 < level_offsets_.size());
     return std::span<const CellId>(order_).subspan(

@@ -1,7 +1,7 @@
 // Structure-of-arrays timing storage.
 //
 // The STA data plane keeps one flat array per timing field instead of an
-// array of per-pin structs: the wavefront kernels sweep a level's pins
+// array of per-pin structs: the level kernels sweep a level's pins
 // touching only the fields they need (arrival/slew forward, required
 // backward), so each cache line carries nothing but useful data and the
 // contiguous per-field loops are written to autovectorize. The layout is
@@ -101,7 +101,7 @@ class TimingStore {
            (reachable_[i] != 0) == t.reachable;
   }
 
-  // Raw per-field arrays for the wavefront kernels and bulk queries.
+  // Raw per-field arrays for the level kernels and bulk queries.
   [[nodiscard]] const double* arrival_max_data() const {
     return arrival_max_.data();
   }

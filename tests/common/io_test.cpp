@@ -20,7 +20,10 @@ class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::global().reset();
-    path_ = std::string(::testing::TempDir()) + "/io_test_target.bin";
+    // One file per test: ctest runs the cases as concurrent processes.
+    path_ = std::string(::testing::TempDir()) + "/io_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

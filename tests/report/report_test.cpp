@@ -440,43 +440,33 @@ TEST(ReportBench, DiffChecksRatiosButNotAbsoluteTimes) {
   DiffThresholds off;
   off.max_speedup_regress_pct = -1.0;
   EXPECT_FALSE(diff_runs(base, bench_run(0.5, 40.0), off).regressed());
-}
 
-RunReport cache_run(double hit_rate, double cached_ms) {
-  RunReport r;
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                R"({"bench":"rollout_cache","metrics":)"
-                R"({"replay_hit_rate":%f,"replay_cached_ms":%f}})",
-                hit_rate, cached_ms);
-  EXPECT_TRUE(parse_bench_json(buf, r).ok());
-  return r;
-}
-
-TEST(ReportBench, DiffGuardsCacheHitRateAsRatio) {
-  // hit_rate metrics join speedups/reductions in the CI-guarded ratio
-  // family: a collapsing flow-cache hit rate fails the perf diff even when
-  // wall-clock stays flat; the absolute cached time stays informational.
-  RunReport base = cache_run(0.75, 8.0);
-  ReportDiff bad = diff_runs(base, cache_run(0.25, 8.0), DiffThresholds{});
-  EXPECT_TRUE(bad.regressed());
-  bool saw_rate = false, saw_ms = false;
-  for (const ReportDiff::Entry& e : bad.entries) {
-    if (e.name == "rollout_cache.replay_hit_rate") {
-      saw_rate = true;
-      EXPECT_TRUE(e.checked);
-      EXPECT_TRUE(e.regressed);
+  // A guarded ratio the candidate no longer reports fails as "missing",
+  // whether the bench dropped the metric or its BENCH_*.json is absent; a
+  // missing absolute time stays informational.
+  RunReport dropped;
+  ASSERT_TRUE(parse_bench_json(
+                  R"({"bench":"sta_kernels","metrics":)"
+                  R"({"full_pass_t1_ms":4.0}})",
+                  dropped)
+                  .ok());
+  for (const RunReport& cand : {dropped, RunReport{}}) {
+    ReportDiff gone = diff_runs(base, cand, DiffThresholds{});
+    EXPECT_TRUE(gone.regressed());
+    bool saw_missing = false;
+    for (const ReportDiff::Entry& e : gone.entries) {
+      if (e.name == "sta_kernels.speedup_t8") {
+        saw_missing = true;
+        EXPECT_TRUE(e.missing);
+        EXPECT_TRUE(e.regressed);
+      } else {
+        EXPECT_FALSE(e.regressed) << e.name;
+      }
     }
-    if (e.name == "rollout_cache.replay_cached_ms") {
-      saw_ms = true;
-      EXPECT_FALSE(e.checked);
-    }
+    EXPECT_TRUE(saw_missing);
+    EXPECT_NE(gone.to_text().find("missing"), std::string::npos);
   }
-  EXPECT_TRUE(saw_rate);
-  EXPECT_TRUE(saw_ms);
-
-  EXPECT_FALSE(diff_runs(base, cache_run(0.70, 80.0), DiffThresholds{})
-                   .regressed());
+  EXPECT_FALSE(diff_runs(base, dropped, off).regressed());
 }
 
 }  // namespace

@@ -40,10 +40,6 @@ RolloutWire sample_wire() {
   w.outcome.reward = 0.625;
   w.outcome.flow_ran = true;
   w.outcome.cancelled = false;
-  w.outcome.state_hash = Hash128{0x0123456789abcdefull, 0xfedcba9876543210ull};
-  w.outcome.cache_hit = true;
-  w.outcome.flow_sec = 0.375;
-  w.outcome.sta_pin_updates = 4096;
   w.steps = 3;
   w.poisoned = false;
   w.selection = {PinId(7), PinId(0), PinId(4095)};
@@ -58,7 +54,7 @@ RolloutWire sample_wire() {
   w.audit.steps = {step};
   w.audit.poisoned = false;
   w.telemetry.counters = {{"flow.cancelled", 0}, {"sta.full_runs", 4}};
-  w.telemetry.gauges = {{"train.cache_resident_bytes", 4096}};
+  w.telemetry.gauges = {{"serve.queue_depth", 4096}};
   MetricsHistogram::Snapshot h;
   h.merge_value(0.25, -2);
   h.merge_value(1.5, 1);
@@ -83,10 +79,6 @@ void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
   EXPECT_EQ(a.outcome.reward, b.outcome.reward);
   EXPECT_EQ(a.outcome.flow_ran, b.outcome.flow_ran);
   EXPECT_EQ(a.outcome.cancelled, b.outcome.cancelled);
-  EXPECT_EQ(a.outcome.state_hash, b.outcome.state_hash);
-  EXPECT_EQ(a.outcome.cache_hit, b.outcome.cache_hit);
-  EXPECT_EQ(a.outcome.flow_sec, b.outcome.flow_sec);
-  EXPECT_EQ(a.outcome.sta_pin_updates, b.outcome.sta_pin_updates);
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.poisoned, b.poisoned);
   ASSERT_EQ(a.selection.size(), b.selection.size());

@@ -22,7 +22,6 @@ struct FlagSpec {
   bool CommonArgs::* flag = nullptr;
   double CommonArgs::* num = nullptr;
   int CommonArgs::* int_num = nullptr;
-  long CommonArgs::* long_num = nullptr;
 };
 
 const FlagSpec kSpecs[] = {
@@ -58,9 +57,6 @@ const FlagSpec kSpecs[] = {
     {"--max-worker-restarts", "N",
      "restarts allowed per isolated worker per iteration", nullptr, nullptr,
      nullptr, &CommonArgs::max_worker_restarts},
-    {"--flow-cache-mb", "MB",
-     "flow-outcome cache budget in MiB (0 disables memoization)", nullptr,
-     nullptr, nullptr, nullptr, &CommonArgs::flow_cache_mb},
 };
 
 }  // namespace
@@ -84,10 +80,8 @@ bool parse_common_flag(int argc, char** argv, int& i, CommonArgs& args,
       args.*spec.str = v;
     } else if (spec.num != nullptr) {
       args.*spec.num = std::atof(v);
-    } else if (spec.int_num != nullptr) {
-      args.*spec.int_num = std::atoi(v);
     } else {
-      args.*spec.long_num = std::atol(v);
+      args.*spec.int_num = std::atoi(v);
     }
     return true;
   }
@@ -126,9 +120,6 @@ void apply_train_args(const CommonArgs& args, TrainConfig& train) {
   train.isolate_workers = args.isolate_workers;
   if (args.max_worker_restarts >= 0) {
     train.max_worker_restarts = args.max_worker_restarts;
-  }
-  if (args.flow_cache_mb >= 0) {
-    train.flow_cache_mb = static_cast<std::size_t>(args.flow_cache_mb);
   }
 }
 

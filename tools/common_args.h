@@ -2,15 +2,14 @@
 //
 // Both tools accept the same flight-recorder artifact flags
 // (--metrics-json, --metrics-csv, --metrics-prom, --trace-json,
-// --audit-jsonl, --progress),
-// the same fault-tolerance knobs (--checkpoint-dir, --resume,
-// --rollout-deadline, --isolate-workers, --max-worker-restarts) and the
-// flow-outcome cache budget (--flow-cache-mb). Each used to hand-roll its
-// own strcmp chain; this header declares the shared spec table instead:
-// parse_common_flag() consumes one argv token against it, print_common_help()
-// generates the flag documentation from the same table (so help can never
-// drift from what parses), and apply_train_args() maps the typed values
-// onto a TrainConfig.
+// --audit-jsonl, --progress) and the same fault-tolerance knobs
+// (--checkpoint-dir, --resume, --rollout-deadline, --isolate-workers,
+// --max-worker-restarts). Each used to hand-roll its own strcmp chain;
+// this header declares the shared spec table instead: parse_common_flag()
+// consumes one argv token against it, print_common_help() generates the
+// flag documentation from the same table (so help can never drift from
+// what parses), and apply_train_args() maps the typed values onto a
+// TrainConfig.
 //
 // The artifact epilogue both tools shared verbatim lives here too:
 // open_common_artifacts() before the command (arms the trace recorder,
@@ -40,7 +39,6 @@ struct CommonArgs {
   double rollout_deadline_sec = 0.0;
   bool isolate_workers = false;
   int max_worker_restarts = -1;  // < 0: keep the TrainConfig default
-  long flow_cache_mb = -1;       // < 0: keep the TrainConfig default; 0: off
 };
 
 // Tries to consume argv[i] (plus its value, when the spec takes one) as a
@@ -58,9 +56,8 @@ void print_common_help(std::FILE* out);
 // ...") for embedding in a tool's usage string.
 std::string common_usage_fragment();
 
-// Applies the training-related flags onto a TrainConfig. Sentinel values
-// (negative max_worker_restarts / flow_cache_mb) leave the config's
-// defaults untouched.
+// Applies the training-related flags onto a TrainConfig. A negative
+// max_worker_restarts leaves the config's default untouched.
 void apply_train_args(const CommonArgs& args, TrainConfig& train);
 
 // Pre-command artifact setup: arms the Chrome-trace recorder when

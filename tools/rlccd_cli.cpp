@@ -8,10 +8,9 @@
 //
 // Shared flags (tools/common_args.h, `rlccd_cli --help` lists them):
 // flight-recorder artifacts (--metrics-json / --metrics-csv / --trace-json /
-// --audit-jsonl / --progress), fault tolerance (--checkpoint-dir / --resume /
-// --rollout-deadline / --isolate-workers / --max-worker-restarts) and the
-// rollout memoization budget (--flow-cache-mb). Feed the artifacts to
-// rlccd_report.
+// --audit-jsonl / --progress) and fault tolerance (--checkpoint-dir /
+// --resume / --rollout-deadline / --isolate-workers / --max-worker-restarts).
+// Feed the artifacts to rlccd_report.
 //
 // Blocks are the paper's Table-II names (block1..block19); a plain number
 // generates an anonymous design with that many cells.

@@ -13,9 +13,8 @@
 // (exit 3). wait streams progress lines while the job runs and exits 0 only
 // when the job ends kDone or kDrained. watch subscribes to the daemon's
 // streamed stats feed and renders a refreshing fleet view (queue depth,
-// per-worker phase, cache hit rate, retry state) — or the raw JSON
-// documents with --json. metrics prints the daemon's Prometheus text
-// exposition.
+// per-worker phase, retry state) — or the raw JSON documents with --json.
+// metrics prints the daemon's Prometheus text exposition.
 #ifdef _WIN32
 #include <cstdio>
 int main() {
@@ -113,15 +112,6 @@ void print_fleet_view(const std::string& json, int frame) {
       std::printf("retry  %d waiting, next due in %.2fs\n",
                   static_cast<int>(retry->number_or("waiting", 0.0)), due);
     }
-  }
-  const JsonValue* cache = doc.find("cache");
-  if (cache != nullptr && cache->is_object()) {
-    std::printf("cache  hits=%llu misses=%llu hit_rate=%.2f%%\n",
-                static_cast<unsigned long long>(
-                    cache->number_or("hits", 0.0)),
-                static_cast<unsigned long long>(
-                    cache->number_or("misses", 0.0)),
-                100.0 * cache->number_or("hit_rate", 0.0));
   }
   const JsonValue* workers = doc.find("workers");
   if (workers != nullptr && workers->is_array()) {

@@ -6,9 +6,9 @@
 // mirror rlccd_cli: --trace-json records a Chrome-trace timeline,
 // --audit-jsonl streams RL decision provenance,
 // --metrics-json/--metrics-csv dump the telemetry registry,
-// --checkpoint-dir/--resume/--rollout-deadline/--isolate-workers/
-// --max-worker-restarts drive fault tolerance, and --flow-cache-mb sizes
-// the rollout memoization cache. Feed the artifacts to rlccd_report.
+// and --checkpoint-dir/--resume/--rollout-deadline/--isolate-workers/
+// --max-worker-restarts drive fault tolerance. Feed the artifacts to
+// rlccd_report.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,7 +16,6 @@
 #include <string>
 
 #include "common/log.h"
-#include "common/telemetry.h"
 #include "core/rlccd.h"
 #include "designgen/blocks.h"
 #include "rl/audit.h"
@@ -96,23 +95,6 @@ int main(int argc, char** argv) {
               "%.1f%% NVE, runtime x%.1f\n",
               r.rl_flow.final_summary.tns, r.rl_flow.final_summary.nve, r.selection.size(),
               r.tns_gain_pct(), r.nve_gain_pct(), r.runtime_factor);
-  // Rollout memoization summary (train.cache_* carry the same values into
-  // --metrics-json for rlccd_report).
-  {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    const std::uint64_t hits = reg.counter("train.cache_hits").value();
-    const std::uint64_t misses = reg.counter("train.cache_misses").value();
-    const std::uint64_t probes = hits + misses;
-    std::printf("cache   %llu hits / %llu probes (%.1f%% hit rate, "
-                "%llu evictions)\n",
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(probes),
-                probes > 0 ? 100.0 * static_cast<double>(hits) /
-                                 static_cast<double>(probes)
-                           : 0.0,
-                static_cast<unsigned long long>(
-                    reg.counter("train.cache_evictions").value()));
-  }
 
   if (!tools::write_common_artifacts(common, audit.get())) return 1;
   return 0;
