@@ -3,10 +3,20 @@
 #include <cerrno>
 
 #ifndef _WIN32
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
 namespace rlccd {
+
+Status ipc_parse_count(std::string_view bytes, std::size_t& offset,
+                       std::uint32_t& n, const char* what) {
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, n, what));
+  if (n > bytes.size() - offset) {
+    return Status::corrupt("%s %u exceeds remaining bytes", what, n);
+  }
+  return Status();
+}
 
 void ipc_append_string(std::string& out, std::string_view s) {
   ipc_append_pod(out, static_cast<std::uint32_t>(s.size()));
@@ -51,7 +61,14 @@ Status ipc_parse_float_vec(std::string_view bytes, std::size_t& offset,
   return Status();
 }
 
-// -- FrameDecoder -------------------------------------------------------------
+// -- frames -------------------------------------------------------------------
+
+void append_frame(std::string& out, std::uint8_t type,
+                  std::string_view payload) {
+  ipc_append_pod(out, type);
+  ipc_append_pod(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(payload.data(), payload.size());
+}
 
 void FrameDecoder::feed(const char* data, std::size_t n) {
   if (!error_.ok()) return;
@@ -98,6 +115,14 @@ Status pipe_create(Pipe& out) {
   return Status();
 }
 
+Status set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+    return Status::io_error("fcntl(O_NONBLOCK): %s", std::strerror(errno));
+  }
+  return Status();
+}
+
 namespace {
 
 Status write_all(int fd, const char* data, std::size_t n) {
@@ -121,14 +146,11 @@ Status write_frame(int fd, FrameType type, std::string_view payload) {
 
 Status write_truncated_frame(int fd, FrameType type, std::string_view payload,
                              std::size_t payload_bytes) {
-  std::string header;
-  header.reserve(1 + sizeof(std::uint32_t));
-  ipc_append_pod(header, static_cast<std::uint8_t>(type));
-  ipc_append_pod(header, static_cast<std::uint32_t>(payload.size()));
-  RLCCD_TRY(write_all(fd, header.data(), header.size()));
+  std::string frame;
+  append_frame(frame, static_cast<std::uint8_t>(type), payload);
   const std::size_t n = payload_bytes < payload.size() ? payload_bytes
                                                        : payload.size();
-  return write_all(fd, payload.data(), n);
+  return write_all(fd, frame.data(), frame.size() - (payload.size() - n));
 }
 
 Status read_available(int fd, FrameDecoder& decoder, bool& eof,

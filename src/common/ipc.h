@@ -8,11 +8,14 @@
 // interruption: writes retry on EINTR and short writes, so a frame either
 // lands whole or the writer learns it did not, and read_available() retries
 // EINTR on the read side, so a signal landing mid-frame never tears a
-// stream or wedges a reader. The serve daemon reuses the same frames over
-// Unix-domain sockets (serve/protocol.h).
+// stream or wedges a reader. These are the only frames in the system: the
+// child-process lifecycle (common/child.h) speaks them over pipes for both
+// the rollout supervisor and the serve daemon, and the daemon's clients
+// speak them over Unix-domain sockets (serve/protocol.h).
 //
-// The codec helpers (ipc_append_pod / ipc_parse_pod / ...) are the shared
-// byte-level vocabulary for wire structs layered on top (rl/isolation/wire).
+// The codec helpers (ipc_append_pod / ipc_parse_pod / ipc_parse_count /
+// ...) are the shared byte-level vocabulary for every payload layered on
+// top: the rollout wire, the serve protocol and the ObsDelta codec.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +50,12 @@ Status ipc_parse_pod(std::string_view bytes, std::size_t& offset, T& v,
   return Status();
 }
 
+// Reads a u32 element count and rejects one larger than the bytes left
+// after it: every element occupies at least one byte, so a larger count is
+// corrupt and must never drive a resize.
+Status ipc_parse_count(std::string_view bytes, std::size_t& offset,
+                       std::uint32_t& n, const char* what);
+
 void ipc_append_string(std::string& out, std::string_view s);
 Status ipc_parse_string(std::string_view bytes, std::size_t& offset,
                         std::string& s, const char* what);
@@ -69,6 +78,10 @@ struct Frame {
   std::uint8_t type = 0;
   std::string payload;
 };
+
+// Appends one whole frame, [type u8][len u32][payload], to `out`.
+void append_frame(std::string& out, std::uint8_t type,
+                  std::string_view payload);
 
 // Incremental frame reassembly for the supervisor's poll loop. Feed bytes as
 // they arrive; next() pops completed frames. After EOF, mid_frame() tells a
@@ -103,6 +116,8 @@ struct Pipe {
 };
 
 Status pipe_create(Pipe& out);
+
+Status set_nonblocking(int fd);
 
 // Blocking write of one whole frame, retrying EINTR and short writes.
 Status write_frame(int fd, FrameType type, std::string_view payload);

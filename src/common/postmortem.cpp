@@ -1,8 +1,8 @@
 #include "common/postmortem.h"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/clock.h"
 #include "common/io.h"
 #include "common/json_writer.h"
 
@@ -13,12 +13,6 @@ std::atomic<bool> g_ring_enabled{false};
 }  // namespace postmortem_detail
 
 namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void event_to_json(std::string& out, const PostmortemEvent& ev) {
   out += "{\"seq\":";
@@ -53,7 +47,7 @@ void EventRing::disable() {
 
 void EventRing::note(std::string_view kind, std::string_view text) {
   if (!enabled()) return;
-  const double now = steady_seconds();
+  const double now = mono_sec();
   std::lock_guard<std::mutex> lock(mutex_);
   if (ring_.empty()) return;  // disabled raced with enable(); nothing to do
   PostmortemEvent& slot = ring_[(next_seq_ - 1) % capacity_];

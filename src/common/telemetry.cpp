@@ -1,10 +1,10 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
+#include "common/clock.h"
 #include "common/contracts.h"
 #include "common/json_writer.h"
 #include "common/metric_names.h"
@@ -23,12 +23,6 @@ constexpr std::size_t kMaxSpanDepth = 32;
 // MetricsRegistry::flush_thread_spans() (snapshot() calls it) and at thread
 // exit.
 constexpr int kMergeEvery = 64;
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void atomic_add_double(std::atomic<double>& target, double v) {
   double cur = target.load(std::memory_order_relaxed);
@@ -371,7 +365,7 @@ void SpanNode::merge(const SpanNode& other) {
 
 // -- scoped spans -------------------------------------------------------------
 
-ScopedSpan::ScopedSpan(std::string_view name) : start_sec_(steady_seconds()) {
+ScopedSpan::ScopedSpan(std::string_view name) : start_sec_(mono_sec()) {
   ThreadSpanState& st = thread_spans();
   SpanNode& node = st.stack.back()->child(name);
   st.stack.push_back(&node);
@@ -381,7 +375,7 @@ ScopedSpan::ScopedSpan(std::string_view name) : start_sec_(steady_seconds()) {
 }
 
 ScopedSpan::~ScopedSpan() {
-  const double elapsed = steady_seconds() - start_sec_;
+  const double elapsed = mono_sec() - start_sec_;
   ThreadSpanState& st = thread_spans();
   SpanNode* node = st.stack.back();
   node->count += 1;

@@ -1,13 +1,13 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/json_writer.h"
 #include "common/telemetry.h"
 
@@ -18,12 +18,6 @@ std::atomic<bool> g_trace_enabled{false};
 }  // namespace trace_detail
 
 namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Single-producer ring: only the owning thread writes slots and bumps
 // `total` (release); the exporter reads `total` (acquire) and the slots
@@ -151,7 +145,7 @@ void TraceRecorder::enable(std::size_t capacity) {
   st.foreign.clear();
   st.capacity = std::max<std::size_t>(capacity, 16);
   st.dropped.store(0, std::memory_order_relaxed);
-  st.t0_sec = steady_seconds();
+  st.t0_sec = mono_sec();
   // Release-publish the new generation before opening the runtime gate, so
   // threads that see the gate also see the new capacity via local_ring()'s
   // mutex.
@@ -169,7 +163,7 @@ void TraceRecorder::record_complete(std::string_view name, double start_sec,
 }
 
 void TraceRecorder::record_instant(std::string_view name) {
-  record_event(name, steady_seconds(), -1.0);
+  record_event(name, mono_sec(), -1.0);
 }
 
 std::uint64_t TraceRecorder::buffered_events() const {

@@ -1,22 +1,16 @@
 #include "opt/flow.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 
+#include "common/clock.h"
 #include "common/log.h"
 #include "common/trace.h"
 
 namespace rlccd {
 
 namespace {
-
-double now_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Emits one per-step ProgressEvent (phase "flow") when an observer is set.
 void emit_step(const FlowConfig& config, std::string_view step, int index,
@@ -54,7 +48,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   // whatever optimization it completed.
   auto finalize = [&]() {
     RLCCD_SPAN("final_sta");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     sta.update();
     result.final_summary = sta.summary();
     result.final_clock = sta.clock();
@@ -68,7 +62,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     SwitchingActivity act =
         propagate_activity(netlist, ActivityConfig{}, input.pi_toggles);
     result.power_final = compute_power(netlist, act);
-    emit_summary(config, "final", now_sec() - t0, result.final_summary);
+    emit_summary(config, "final", mono_sec() - t0, result.final_summary);
   };
 
   // Watchdog poll, called only at pass boundaries (never mid-pass, so the
@@ -88,7 +82,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   // 1. Begin state.
   {
     RLCCD_SPAN("begin_sta");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     sta.update();
     result.begin = sta.summary();
     sta.endpoint_slacks(input.prioritized, slack_buf);
@@ -100,21 +94,21 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     SwitchingActivity act =
         propagate_activity(netlist, ActivityConfig{}, input.pi_toggles);
     result.power_begin = compute_power(netlist, act);
-    emit_summary(config, "begin", now_sec() - t0, result.begin);
+    emit_summary(config, "begin", mono_sec() - t0, result.begin);
   }
   if (cancelled("begin_sta")) return finalize();
 
   // 2. Pre-CCD coarse sizing.
   {
     RLCCD_SPAN("pre_ccd_sizing");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     SizingConfig pre;
     pre.max_upsize_moves = config.pre_ccd_sizing_moves;
     SizingResult r = run_sizing(sta, netlist, pre);
     result.cells_upsized += r.upsized;
     const ProgressMetric metrics[] = {
         {"upsized", static_cast<double>(r.upsized)}};
-    emit_step(config, "pre_ccd_sizing", -1, now_sec() - t0, metrics);
+    emit_step(config, "pre_ccd_sizing", -1, mono_sec() - t0, metrics);
   }
   if (cancelled("pre_ccd_sizing")) return finalize();
 
@@ -148,7 +142,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   // 4. CCD clock-path optimization: useful skew (margins active), then
   // 5. remove margins before the remaining placement optimization.
   {
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     result.skew = run_useful_skew(sta, config.skew);
     sta.clear_margins();
     sta.update();
@@ -160,7 +154,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
         {"flops_adjusted", static_cast<double>(result.skew.flops_adjusted)},
         {"sweeps", static_cast<double>(result.skew.sweeps)},
     };
-    emit_step(config, "useful_skew", -1, now_sec() - t0, metrics);
+    emit_step(config, "useful_skew", -1, mono_sec() - t0, metrics);
   }
   if (cancelled("useful_skew")) return finalize();
 
@@ -177,7 +171,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
 
   for (int round = 0; round < config.data_rounds; ++round) {
     ScopedSpan round_span("data_round_" + std::to_string(round));
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     SizingResult sr = run_sizing(sta, netlist, sizing);
     result.cells_upsized += sr.upsized;
     BufferResult br = run_buffering(sta, netlist, buffering);
@@ -189,34 +183,34 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
         {"buffers", static_cast<double>(br.buffers_inserted)},
         {"swaps", static_cast<double>(rr.swaps)},
     };
-    emit_step(config, "data_round", round, now_sec() - t0, metrics);
+    emit_step(config, "data_round", round, mono_sec() - t0, metrics);
     if (cancelled("data_round")) return finalize();
   }
 
   // CCD interleaving: a brief skew re-balance on the optimized netlist.
   {
     RLCCD_SPAN("skew_touchup");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     UsefulSkewResult touchup = run_useful_skew(sta, config.skew_touchup);
     result.skew.flops_adjusted =
         std::max(result.skew.flops_adjusted, touchup.flops_adjusted);
     const ProgressMetric metrics[] = {
         {"flops_adjusted", static_cast<double>(touchup.flops_adjusted)}};
-    emit_step(config, "skew_touchup", -1, now_sec() - t0, metrics);
+    emit_step(config, "skew_touchup", -1, mono_sec() - t0, metrics);
   }
   if (cancelled("skew_touchup")) return finalize();
 
   if (config.legalize) {
     RLCCD_SPAN("legalize");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     GlobalPlacer::legalize(netlist, input.die);
-    emit_step(config, "legalize", -1, now_sec() - t0, {});
+    emit_step(config, "legalize", -1, mono_sec() - t0, {});
   }
 
   // Final sizing with power recovery.
   {
     RLCCD_SPAN("final_sizing");
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     SizingConfig fin = sizing;
     fin.max_upsize_moves = std::max(16, fin.max_upsize_moves / 2);
     if (config.enable_power_recovery) {
@@ -231,7 +225,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
         {"upsized", static_cast<double>(r.upsized)},
         {"downsized", static_cast<double>(r.downsized)},
     };
-    emit_step(config, "final_sizing", -1, now_sec() - t0, metrics);
+    emit_step(config, "final_sizing", -1, mono_sec() - t0, metrics);
   }
   if (cancelled("final_sizing")) return finalize();
 
@@ -239,7 +233,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   // below what the skew engine guarded against; pad the residual debt
   // (every production CCD flow ends with this step).
   {
-    const double t0 = now_sec();
+    const double t0 = mono_sec();
     HoldFixConfig hold;
     hold.max_buffers = std::max(16, static_cast<int>(cells * 0.02));
     // Hold violations are fatal in silicon; pay setup slack if necessary.
@@ -248,7 +242,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     result.hold_buffers = hr.buffers_inserted;
     const ProgressMetric metrics[] = {
         {"buffers", static_cast<double>(hr.buffers_inserted)}};
-    emit_step(config, "hold_fix", -1, now_sec() - t0, metrics);
+    emit_step(config, "hold_fix", -1, mono_sec() - t0, metrics);
   }
 
   finalize();

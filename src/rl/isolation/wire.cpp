@@ -34,11 +34,7 @@ Status parse_audit(std::string_view bytes, std::size_t& offset,
   RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "audit poisoned"));
   audit.poisoned = poisoned != 0;
   std::uint32_t n_steps = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_steps, "audit step count"));
-  if (n_steps > bytes.size() - offset) {
-    return Status::corrupt("audit step count %u exceeds remaining bytes",
-                           n_steps);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_steps, "audit step count"));
   audit.steps.resize(n_steps);
   for (AuditStep& step : audit.steps) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, step.chosen, "audit chosen"));
@@ -53,11 +49,7 @@ Status parse_audit(std::string_view bytes, std::size_t& offset,
       RLCCD_TRY(ipc_parse_pod(bytes, offset, prob, "top-k probability"));
     }
     std::uint32_t n_masked = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, n_masked, "audit mask count"));
-    if (n_masked > bytes.size() - offset) {
-      return Status::corrupt("audit mask count %u exceeds remaining bytes",
-                             n_masked);
-    }
+    RLCCD_TRY(ipc_parse_count(bytes, offset, n_masked, "audit mask count"));
     step.masked.resize(n_masked);
     for (AuditMaskEvent& ev : step.masked) {
       RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.endpoint, "masked endpoint"));
@@ -130,21 +122,14 @@ Status decode_rollout_wire(std::string_view bytes, RolloutWire& out) {
   out.poisoned = poisoned != 0;
 
   std::uint32_t n_sel = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_sel, "selection count"));
-  if (n_sel > bytes.size() - offset) {
-    return Status::corrupt("selection count %u exceeds remaining bytes", n_sel);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, "selection count"));
   out.selection.resize(n_sel);
   for (PinId& pin : out.selection) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
   }
 
   std::uint32_t n_grads = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_grads, "gradient tensor count"));
-  if (n_grads > bytes.size() - offset) {
-    return Status::corrupt("gradient tensor count %u exceeds remaining bytes",
-                           n_grads);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_grads, "gradient tensor count"));
   out.grads.resize(n_grads);
   for (std::vector<float>& g : out.grads) {
     RLCCD_TRY(ipc_parse_float_vec(bytes, offset, g, "gradient tensor"));

@@ -108,11 +108,8 @@ struct TrainConfig {
   // Restart backoff base: restart r waits min(base * 2^r, 2.0) seconds plus
   // deterministic jitter.
   double worker_backoff_sec = 0.05;
-  // Child heartbeat period; <= 0 disables heartbeats and the silence check.
-  double worker_heartbeat_sec = 0.25;
-  // A worker silent longer than this (no heartbeat, no payload bytes) is
-  // declared wedged and SIGKILLed; <= 0 disables.
-  double worker_heartbeat_timeout_sec = 5.0;
+  // Children heartbeat every 0.25 s; one silent for 5 s is declared wedged
+  // and SIGKILLed (SupervisorConfig's defaults).
 };
 
 struct IterationStats {

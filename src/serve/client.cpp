@@ -7,6 +7,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/log.h"
 #include "serve/socket.h"
 
@@ -14,12 +15,6 @@ namespace rlccd {
 namespace serve {
 
 namespace {
-
-double mono_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr double kReplyTimeoutSec = 30.0;
 

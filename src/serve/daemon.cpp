@@ -2,27 +2,25 @@
 
 #include "serve/daemon.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/child.h"
+#include "common/clock.h"
 #include "common/contracts.h"
 #include "common/fault.h"
 #include "common/io.h"
+#include "common/json_writer.h"
 #include "common/log.h"
 #include "common/postmortem.h"
 #include "common/rng.h"
@@ -33,7 +31,6 @@
 #include "designgen/blocks.h"
 #include "rl/audit.h"
 #include "rl/checkpoint.h"
-#include "rl/isolation/supervisor.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "serve/socket.h"
@@ -43,30 +40,9 @@ namespace serve {
 
 namespace {
 
-double mono_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // ===========================================================================
 // Child side: one forked process per job attempt.
 // ===========================================================================
-
-// write_frame() is two writes (header, payload); the heartbeat thread and
-// the training thread's progress/audit forwarding would tear frames without
-// a writer lock.
-struct ChildPipe {
-  int fd = -1;
-  std::mutex mutex;
-
-  void send(std::uint8_t type, std::string_view payload) {
-    std::lock_guard<std::mutex> lock(mutex);
-    // A failed pipe write means the daemon is gone; the child keeps going
-    // and its result is simply lost with it.
-    (void)write_frame(fd, static_cast<FrameType>(type), payload);
-  }
-};
 
 // SIGTERM in a job child requests a cooperative drain: the trainer stops at
 // the next iteration boundary (everything completed is checkpointed) and
@@ -81,7 +57,7 @@ void child_sigterm(int) {
 // so the retried attempt provably resumes from a real checkpoint.
 class ChildProgress : public ProgressObserver {
  public:
-  ChildProgress(ChildPipe* pipe, int crash_after_checkpoints)
+  ChildProgress(ChildChannel* pipe, int crash_after_checkpoints)
       : pipe_(pipe), crash_after_(crash_after_checkpoints) {}
 
   void on_event(const ProgressEvent& event) override {
@@ -98,7 +74,8 @@ class ChildProgress : public ProgressObserver {
     }
     std::string bytes;
     encode_job_progress(bytes, p);
-    pipe_->send(static_cast<std::uint8_t>(MsgType::kChildProgress), bytes);
+    (void)pipe_->send(static_cast<std::uint8_t>(MsgType::kChildProgress),
+                      bytes);
 
     if (crash_after_ >= 1 && event.step == "checkpoint" &&
         ++checkpoints_ >= crash_after_) {
@@ -107,7 +84,7 @@ class ChildProgress : public ProgressObserver {
   }
 
  private:
-  ChildPipe* pipe_;
+  ChildChannel* pipe_;
   int crash_after_;
   int checkpoints_ = 0;
 };
@@ -115,7 +92,7 @@ class ChildProgress : public ProgressObserver {
 // Forwards decision-provenance records as audit JSONL lines.
 class ChildAudit : public AuditSink {
  public:
-  explicit ChildAudit(ChildPipe* pipe) : pipe_(pipe) {}
+  explicit ChildAudit(ChildChannel* pipe) : pipe_(pipe) {}
   void on_rollout(const RolloutAuditRecord& r) override { line(r.to_json()); }
   void on_iteration(const IterationAuditRecord& r) override {
     line(r.to_json());
@@ -125,9 +102,9 @@ class ChildAudit : public AuditSink {
  private:
   void line(const std::string& json) {
     if (EventRing::enabled()) EventRing::global().note("audit", json);
-    pipe_->send(static_cast<std::uint8_t>(MsgType::kChildAudit), json);
+    (void)pipe_->send(static_cast<std::uint8_t>(MsgType::kChildAudit), json);
   }
-  ChildPipe* pipe_;
+  ChildChannel* pipe_;
 };
 
 // CRC-32 over the deterministic result payload: two runs of the same spec
@@ -143,8 +120,7 @@ std::uint32_t result_digest(const TrainStats& stats) {
 
 [[noreturn]] void run_job_child(const Job& job, const ServeConfig& cfg,
                                 int pipe_fd, bool crash, int crash_after) {
-  ChildPipe pipe;
-  pipe.fd = pipe_fd;
+  ChildChannel pipe(pipe_fd);
 
   static CancelToken cancel;
   g_child_cancel = &cancel;
@@ -160,8 +136,8 @@ std::uint32_t result_digest(const TrainStats& stats) {
   // buffers, inherited over fork, are its own story), a postmortem event
   // ring fed by every log line / progress step / audit record, and a
   // telemetry tracker baselined *now* so registry values inherited from the
-  // parent are never re-shipped. The heartbeat thread ships an ObsDelta
-  // alongside each heartbeat; a final flush precedes the result frame.
+  // parent are never re-shipped. The heartbeat hook ships an ObsDelta
+  // alongside each heartbeat; the final flush precedes the result frame.
   TraceRecorder::global().enable(4096);
   EventRing::global().enable();
   set_log_hook(+[](LogLevel, const char* l) {
@@ -186,27 +162,11 @@ std::uint32_t result_digest(const TrainStats& stats) {
         d.trace_events.empty() && d.ring_events.empty()) {
       return;  // nothing new since the last ship
     }
-    pipe.send(static_cast<std::uint8_t>(FrameType::kTelemetry), d.encode());
+    (void)pipe.send(static_cast<std::uint8_t>(FrameType::kTelemetry),
+                    d.encode());
   };
   EventRing::global().note("phase", "attempt start");
-
-  std::atomic<bool> hb_stop{false};
-  std::thread beat;
-  if (cfg.heartbeat_interval_sec > 0.0) {
-    beat = std::thread([&] {
-      const double interval = cfg.heartbeat_interval_sec;
-      double next = mono_sec();
-      while (!hb_stop.load(std::memory_order_relaxed)) {
-        const double now = mono_sec();
-        if (now >= next) {
-          pipe.send(static_cast<std::uint8_t>(FrameType::kHeartbeat), {});
-          ship_obs();
-          next = now + interval;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    });
-  }
+  pipe.start_heartbeat(cfg.heartbeat_interval_sec, ship_obs);
 
   JobResult result;
   if (job.spec.kind == JobKind::kNoop) {
@@ -255,15 +215,11 @@ std::uint32_t result_digest(const TrainStats& stats) {
     result.detail = buf;
   }
 
-  if (beat.joinable()) {
-    hb_stop.store(true, std::memory_order_relaxed);
-    beat.join();
-  }
   EventRing::global().note("phase", "attempt done");
-  ship_obs();  // final flush: nothing recorded is lost on a clean exit
+  pipe.finish();  // final flush: nothing recorded is lost on a clean exit
   std::string bytes;
   encode_job_result(bytes, result);
-  pipe.send(static_cast<std::uint8_t>(FrameType::kResult), bytes);
+  (void)pipe.send(static_cast<std::uint8_t>(FrameType::kResult), bytes);
   _exit(0);
 }
 
@@ -279,18 +235,8 @@ struct ClientConn {
 };
 
 struct WorkerSlot {
-  bool busy = false;
-  pid_t pid = -1;
-  int fd = -1;  // pipe read end
-  FrameDecoder decoder;
-  Job* job = nullptr;
-  double started = 0.0;
-  double last_activity = 0.0;
-  bool got_result = false;
-  bool killed = false;
-  const char* kill_reason = "";
-  std::string error_frame;
-  JobResult result;
+  ChildAttempt attempt;
+  Job* job = nullptr;  // non-null while an attempt runs in this slot
 };
 
 bool block_known(const std::string& name) {
@@ -298,13 +244,6 @@ bool block_known(const std::string& name) {
     if (b.name == name) return true;
   }
   return false;
-}
-
-void append_frame_bytes(std::string& out, MsgType type,
-                        std::string_view payload) {
-  ipc_append_pod(out, static_cast<std::uint8_t>(type));
-  ipc_append_pod(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
 }
 
 void json_kv(std::string& out, const char* key, std::uint64_t v,
@@ -315,26 +254,10 @@ void json_kv(std::string& out, const char* key, std::uint64_t v,
   out += buf;
 }
 
-// Minimal JSON string escape for free-text fields (job detail lines, paths)
-// embedded in the stats document.
+// Free-text fields (job detail lines, paths) embedded in the stats document.
 void json_str(std::string& out, std::string_view s) {
   out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
+  json_escape(out, s);
   out += '"';
 }
 
@@ -388,15 +311,14 @@ struct DaemonLoop {
       : d(daemon),
         cfg(daemon.config_),
         sessions(daemon.config_.root_dir),
-        queue(daemon.config_.queue) {
-    slots.resize(static_cast<std::size_t>(std::max(1, cfg.workers)));
-  }
+        queue(daemon.config_.queue),
+        slots(static_cast<std::size_t>(std::max(1, daemon.config_.workers))) {}
 
   // -- client output ----------------------------------------------------------
 
   void send_msg(ClientConn& c, MsgType type, std::string_view payload) {
     if (c.dead) return;
-    append_frame_bytes(c.outbuf, type, payload);
+    append_frame(c.outbuf, static_cast<std::uint8_t>(type), payload);
     flush_client(c);
     if (c.outbuf.size() > cfg.client_outbuf_limit) {
       RLCCD_LOG_WARN("serve: client fd %d over outbuf limit (%zu bytes); "
@@ -664,7 +586,7 @@ struct DaemonLoop {
     if (job->state == JobState::kRunning) {
       // The child drains at its next iteration boundary; finalize turns the
       // drained result into kCancelled.
-      ::kill(slots[static_cast<std::size_t>(job->slot)].pid, SIGTERM);
+      slots[static_cast<std::size_t>(job->slot)].attempt.terminate();
       return;
     }
     queue.remove_queued(job, JobState::kCancelled);
@@ -677,7 +599,7 @@ struct DaemonLoop {
 
   int free_slot() const {
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].busy) return static_cast<int>(i);
+      if (slots[i].job == nullptr) return static_cast<int>(i);
     }
     return -1;
   }
@@ -714,68 +636,43 @@ struct DaemonLoop {
     double crash_param = 0.0;
     const bool crash = fault_fire("serve_worker_crash", &crash_param);
 
-    Pipe pipe;
-    Status ps = pipe_create(pipe);
-    if (!ps.ok()) {
-      queue.mark_running(job, slot_index);
-      queue.finish_running(job, JobState::kFailed);
-      job->detail = "pipe: " + ps.to_string();
-      ctr_failed.increment();
-      notify_watchers(job);
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(pipe.read_fd);
-      ::close(pipe.write_fd);
-      queue.mark_running(job, slot_index);
-      queue.finish_running(job, JobState::kFailed);
-      job->detail = std::string("fork: ") + std::strerror(errno);
-      ctr_failed.increment();
-      notify_watchers(job);
-      return;
-    }
-    if (pid == 0) {
-      // Child: drop every daemon fd (fork copies them all; no exec follows,
-      // so FD_CLOEXEC does not help) and run the job.
-      ::close(pipe.read_fd);
-      ::close(d.listen_fd_);
-      ::close(d.stop_read_fd_);
-      ::close(d.stop_write_fd_);
-      for (auto& [fd, conn] : clients) ::close(fd);
-      for (WorkerSlot& s : slots) {
-        if (s.busy && s.fd >= 0) ::close(s.fd);
-      }
-      run_job_child(*job, cfg, pipe.write_fd, crash,
-                    static_cast<int>(crash_param));
-    }
-    ::close(pipe.write_fd);
-    ::fcntl(pipe.read_fd, F_SETFL, O_NONBLOCK);
-
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    s.busy = true;
-    s.pid = pid;
-    s.fd = pipe.read_fd;
-    s.decoder = FrameDecoder();
+    ChildAttempt::Limits limits;
+    limits.deadline_sec = job->spec.deadline_sec > 0.0 ? job->spec.deadline_sec
+                                                       : cfg.job_deadline_sec;
+    if (cfg.heartbeat_interval_sec > 0.0) {
+      limits.heartbeat_timeout_sec = cfg.heartbeat_timeout_sec;
+    }
+    // The child drops every daemon fd and runs the job.
+    std::vector<int> daemon_fds = {d.listen_fd_, d.stop_read_fd_,
+                                   d.stop_write_fd_};
+    for (auto& [fd, conn] : clients) daemon_fds.push_back(fd);
+    for (const WorkerSlot& other : slots) {
+      if (other.job != nullptr) daemon_fds.push_back(other.attempt.fd());
+    }
+    const Status ss = s.attempt.spawn(limits, daemon_fds, [&](int write_fd) {
+      run_job_child(*job, cfg, write_fd, crash, static_cast<int>(crash_param));
+    });
+    if (!ss.ok()) {
+      queue.mark_running(job, slot_index);  // keep state accounting uniform
+      queue.finish_running(job, JobState::kFailed);
+      job->detail = "spawn: " + ss.to_string();
+      ctr_failed.increment();
+      notify_watchers(job);
+      return;
+    }
     s.job = job;
-    s.started = now;
-    s.last_activity = now;
-    s.got_result = false;
-    s.killed = false;
-    s.kill_reason = "";
-    s.error_frame.clear();
-    s.result = JobResult();
 
     queue.mark_running(job, slot_index);
     AttemptObs obs;
     obs.attempt = job->attempts;
-    obs.pid = static_cast<int>(pid);
+    obs.pid = s.attempt.pid();
     obs.started_sec = now;
     job->attempt_obs.push_back(std::move(obs));
     job->detail = "running (attempt " + std::to_string(job->attempts) + ")";
     RLCCD_LOG_INFO("serve: job %llu attempt %d -> slot %d (pid %d%s%s)",
                    static_cast<unsigned long long>(job->id), job->attempts,
-                   slot_index, static_cast<int>(pid),
+                   slot_index, s.attempt.pid(),
                    job->resume ? ", resume" : "",
                    crash ? ", crash injected" : "");
     notify_watchers(job);
@@ -783,48 +680,27 @@ struct DaemonLoop {
 
   void drain_worker_pipe(int slot_index) {
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    bool eof = false;
-    std::size_t bytes = 0;
-    Status rs = read_available(s.fd, s.decoder, eof, &bytes);
-    if (bytes > 0) s.last_activity = mono_sec();
-    Frame frame;
-    while (s.decoder.next(frame)) {
+    Job* job = s.job;
+    const bool ended = s.attempt.pump([&](Frame& frame) {
       switch (frame.type) {
-        case static_cast<std::uint8_t>(FrameType::kHeartbeat):
-          break;  // activity already refreshed above
-        case static_cast<std::uint8_t>(FrameType::kResult): {
-          std::size_t off = 0;
-          JobResult r;
-          if (parse_job_result(frame.payload, off, r).ok()) {
-            s.got_result = true;
-            s.result = r;
-          } else {
-            s.error_frame = "malformed result frame";
-          }
-          break;
-        }
-        case static_cast<std::uint8_t>(FrameType::kError):
-          s.error_frame = frame.payload;
-          break;
         case static_cast<std::uint8_t>(MsgType::kChildProgress): {
           std::size_t off = 0;
           JobProgress p;
           if (parse_job_progress(frame.payload, off, p).ok()) {
-            p.job_id = s.job->id;
-            s.job->detail = p.phase + "/" + p.step +
-                            (p.index >= 0 ? " #" + std::to_string(p.index)
-                                          : "");
+            p.job_id = job->id;
+            job->detail = p.phase + "/" + p.step +
+                          (p.index >= 0 ? " #" + std::to_string(p.index) : "");
             std::string bytes2;
             encode_job_progress(bytes2, p);
-            relay_to_watchers(s.job, MsgType::kProgress, bytes2);
+            relay_to_watchers(job, MsgType::kProgress, bytes2);
           }
           break;
         }
         case static_cast<std::uint8_t>(MsgType::kChildAudit): {
           std::string bytes2;
-          ipc_append_pod(bytes2, s.job->id);
+          ipc_append_pod(bytes2, job->id);
           ipc_append_string(bytes2, frame.payload);
-          relay_to_watchers(s.job, MsgType::kAudit, bytes2);
+          relay_to_watchers(job, MsgType::kAudit, bytes2);
           break;
         }
         case static_cast<std::uint8_t>(FrameType::kTelemetry): {
@@ -839,8 +715,8 @@ struct DaemonLoop {
           }
           reg.merge_delta(d.telemetry);
           ctr_obs_merged.increment();
-          if (!s.job->attempt_obs.empty()) {
-            AttemptObs& obs = s.job->attempt_obs.back();
+          if (!job->attempt_obs.empty()) {
+            AttemptObs& obs = job->attempt_obs.back();
             // Bounded accumulation: a runaway child must not balloon the
             // daemon. Oldest trace events win (the stitched timeline reads
             // left to right); newest ring events win (a postmortem wants
@@ -864,45 +740,38 @@ struct DaemonLoop {
           break;
         }
         default:
-          s.error_frame = "unexpected frame type " +
-                          std::to_string(static_cast<int>(frame.type));
+          s.attempt.reject("unexpected frame type " +
+                           std::to_string(static_cast<int>(frame.type)));
           break;
       }
-    }
-    if (!rs.ok()) {
-      RLCCD_LOG_WARN("serve: slot %d pipe read: %s", slot_index,
-                     rs.to_string().c_str());
-      finalize_worker(slot_index);
-      return;
-    }
-    if (eof) finalize_worker(slot_index);
+    });
+    if (ended) finalize_worker(slot_index);
   }
 
   void finalize_worker(int slot_index) {
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    ::close(s.fd);
-    s.fd = -1;
-    int st = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(s.pid, &st, 0);
-    } while (r < 0 && errno == EINTR);
-    s.pid = -1;
+    JobResult result;
+    std::size_t off = 0;
+    if (s.attempt.got_result() &&
+        !parse_job_result(s.attempt.result(), off, result).ok()) {
+      s.attempt.reject("malformed result frame");
+    }
+    const WorkerExit cls = s.attempt.reap();
     Job* job = s.job;
     s.job = nullptr;
-    s.busy = false;
 
     const double now = mono_sec();
-    hist_run.record(now - s.started);
+    const double run_sec = now - s.attempt.started();
+    hist_run.record(run_sec);
     if (!job->attempt_obs.empty()) job->attempt_obs.back().ended_sec = now;
 
-    if (s.got_result) {
-      job->result = s.result;
-      job->detail = s.result.detail;
+    if (cls.failure == WorkerFailure::kNone) {
+      job->result = result;
+      job->detail = result.detail;
       if (job->cancel_requested) {
         queue.finish_running(job, JobState::kCancelled);
         ctr_cancelled.increment();
-      } else if (s.result.drained) {
+      } else if (result.drained) {
         // Stopped at a checkpoint by the drain SIGTERM; a future daemon can
         // resume this job's workspace bit-identically.
         queue.finish_running(job, JobState::kDrained);
@@ -922,22 +791,12 @@ struct DaemonLoop {
       return;
     }
 
-    // No result: classify the death exactly like the rollout supervisor.
-    const bool stream_bad = !s.decoder.error().ok() ||
-                            s.decoder.mid_frame() || !s.error_frame.empty();
-    const WorkerExit cls =
-        classify_worker_exit(st, s.killed, stream_bad, /*got_result=*/false);
-    char desc[160];
-    std::snprintf(desc, sizeof(desc), "%s%s%s (exit=%d signal=%d)",
-                  worker_failure_name(cls.failure),
-                  s.error_frame.empty() && !s.killed ? "" : ": ",
-                  s.killed ? s.kill_reason : s.error_frame.c_str(),
-                  cls.exit_code, cls.term_signal);
-    job->kills += s.killed ? 1 : 0;
+    const std::string desc = s.attempt.describe(cls);
+    job->kills += s.attempt.killed() ? 1 : 0;
     if (!job->attempt_obs.empty()) job->attempt_obs.back().outcome = desc;
     // Every attempt that dies without a result gets a forensic record: the
     // crash classification plus the last ring events the child shipped.
-    write_postmortem(job, cls, now - s.started);
+    write_postmortem(job, cls, run_sec);
 
     if (job->cancel_requested) {
       job->detail = std::string("cancelled: ") + desc;
@@ -954,10 +813,8 @@ struct DaemonLoop {
       Rng jitter(cfg.backoff_seed ^
                  (0x9E3779B97F4A7C15ull * (job->id + 1)) ^
                  static_cast<std::uint64_t>(restart));
-      double delay = cfg.retry_backoff_base_sec *
-                     std::pow(2.0, static_cast<double>(restart));
-      delay = std::min(delay, cfg.retry_backoff_max_sec);
-      delay *= 1.0 + 0.5 * jitter.uniform();
+      const double delay = retry_backoff_sec(cfg.retry_backoff_base_sec,
+                                             restart, jitter.uniform());
       queue.requeue_for_retry(job, now + delay);
       ctr_retried.increment();
       std::string resume_point = "scratch";
@@ -973,11 +830,12 @@ struct DaemonLoop {
       RLCCD_LOG_WARN("serve: job %llu attempt %d failed (%s); retry %d in "
                      "%.0f ms from %s",
                      static_cast<unsigned long long>(job->id), job->attempts,
-                     desc, job->attempts, delay * 1e3, resume_point.c_str());
+                     desc.c_str(), job->attempts, delay * 1e3,
+                     resume_point.c_str());
       notify_watchers(job);
       return;
     }
-    job->detail = draining && s.killed
+    job->detail = draining && s.attempt.killed()
                       ? std::string("failed: drain deadline forced SIGKILL")
                       : std::string("failed: ") + desc +
                             (draining ? " (during drain)" : ", retries exhausted");
@@ -986,7 +844,7 @@ struct DaemonLoop {
     write_job_trace(job, now);
     RLCCD_LOG_ERROR("serve: job %llu lost after %d attempts (%s)",
                     static_cast<unsigned long long>(job->id), job->attempts,
-                    desc);
+                    desc.c_str());
     notify_watchers(job);
   }
 
@@ -1067,45 +925,29 @@ struct DaemonLoop {
 
   // -- timeouts, drain --------------------------------------------------------
 
-  void kill_worker(int slot_index, const char* reason) {
-    WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    if (!s.busy || s.killed) return;
-    s.killed = true;
-    s.kill_reason = reason;
+  void note_kill(int slot_index, const char* reason) {
+    const WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
     ctr_kills.increment();
-    RLCCD_LOG_WARN("serve: job %llu (slot %d, pid %d): %s; sending SIGKILL",
+    RLCCD_LOG_WARN("serve: job %llu (slot %d, pid %d): %s; sent SIGKILL",
                    static_cast<unsigned long long>(s.job->id), slot_index,
-                   static_cast<int>(s.pid), reason);
-    ::kill(s.pid, SIGKILL);
+                   s.attempt.pid(), reason);
     // The EOF that follows finalizes and classifies the attempt.
   }
 
   void check_timeouts(double now) {
+    const bool drain_expired =
+        draining && drain_deadline > 0.0 && now > drain_deadline;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       WorkerSlot& s = slots[i];
-      if (!s.busy || s.killed) continue;
-      double deadline = s.job->spec.deadline_sec > 0.0
-                            ? s.job->spec.deadline_sec
-                            : cfg.job_deadline_sec;
-      if (deadline > 0.0 && now - s.started > deadline) {
-        kill_worker(static_cast<int>(i), "deadline exceeded");
-        continue;
-      }
-      if (cfg.heartbeat_interval_sec > 0.0 &&
-          cfg.heartbeat_timeout_sec > 0.0 &&
-          now - s.last_activity > cfg.heartbeat_timeout_sec) {
-        kill_worker(static_cast<int>(i), "heartbeat silence");
+      if (s.job == nullptr) continue;
+      if (const char* reason = s.attempt.enforce(now)) {
+        note_kill(static_cast<int>(i), reason);
+      } else if (drain_expired && s.attempt.kill("drain deadline")) {
+        note_kill(static_cast<int>(i), "drain deadline");
+        exit_code = 1;
       }
     }
-    if (draining && drain_deadline > 0.0 && now > drain_deadline) {
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].busy && !slots[i].killed) {
-          kill_worker(static_cast<int>(i), "drain deadline");
-          exit_code = 1;
-        }
-      }
-      drain_deadline = 0.0;  // fire once
-    }
+    if (drain_expired) drain_deadline = 0.0;  // fire once
   }
 
   void begin_drain() {
@@ -1123,8 +965,9 @@ struct DaemonLoop {
       ctr_shed.increment();
       notify_watchers(job);
     }
+    // Running children stop at their next iteration boundary.
     for (WorkerSlot& s : slots) {
-      if (s.busy) ::kill(s.pid, SIGTERM);  // stop at an iteration boundary
+      if (s.job != nullptr) s.attempt.terminate();
     }
   }
 
@@ -1161,15 +1004,15 @@ struct DaemonLoop {
     out += "},\"workers\":[";
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const WorkerSlot& s = slots[i];
+      const bool busy = s.job != nullptr;
       if (i > 0) out += ",";
       std::snprintf(buf, sizeof(buf),
                     "{\"slot\":%zu,\"busy\":%s,\"pid\":%d,\"job\":%llu,"
                     "\"phase\":",
-                    i, s.busy ? "true" : "false",
-                    s.busy ? static_cast<int>(s.pid) : -1,
-                    s.busy ? static_cast<unsigned long long>(s.job->id) : 0ull);
+                    i, busy ? "true" : "false", busy ? s.attempt.pid() : -1,
+                    busy ? static_cast<unsigned long long>(s.job->id) : 0ull);
       out += buf;
-      json_str(out, s.busy ? s.job->detail : "idle");
+      json_str(out, busy ? s.job->detail : "idle");
       out += "}";
     }
     out += "],\"sessions\":[";
@@ -1316,14 +1159,7 @@ struct DaemonLoop {
     const double retry = queue.next_retry_due(now);
     if (retry > 0.0) next = std::min(next, retry);
     for (const WorkerSlot& s : slots) {
-      if (!s.busy || s.killed) continue;
-      const double deadline = s.job->spec.deadline_sec > 0.0
-                                  ? s.job->spec.deadline_sec
-                                  : cfg.job_deadline_sec;
-      if (deadline > 0.0) next = std::min(next, s.started + deadline);
-      if (cfg.heartbeat_interval_sec > 0.0 && cfg.heartbeat_timeout_sec > 0.0) {
-        next = std::min(next, s.last_activity + cfg.heartbeat_timeout_sec);
-      }
+      if (s.job != nullptr) next = std::min(next, s.attempt.next_wakeup());
     }
     if (draining && drain_deadline > 0.0) next = std::min(next, drain_deadline);
     if (!stats_watchers.empty() && cfg.stats_push_interval_sec > 0.0) {
@@ -1364,8 +1200,8 @@ struct DaemonLoop {
         refs.push_back({Ref::kClient, fd});
       }
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (!slots[i].busy) continue;
-        pfds.push_back({slots[i].fd, POLLIN, 0});
+        if (slots[i].job == nullptr) continue;
+        pfds.push_back({slots[i].attempt.fd(), POLLIN, 0});
         refs.push_back({Ref::kWorker, static_cast<int>(i)});
       }
 
@@ -1403,7 +1239,7 @@ struct DaemonLoop {
           }
           case Ref::kWorker: {
             const int slot = refs[i].key;
-            if (slots[static_cast<std::size_t>(slot)].busy) {
+            if (slots[static_cast<std::size_t>(slot)].job != nullptr) {
               drain_worker_pipe(slot);
             }
             break;

@@ -13,16 +13,12 @@
 #include <cstring>
 #include <thread>
 
+#include "common/clock.h"
+
 namespace rlccd {
 namespace serve {
 
 namespace {
-
-double mono_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Status fill_addr(const std::string& path, sockaddr_un& addr) {
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
@@ -37,14 +33,6 @@ Status fill_addr(const std::string& path, sockaddr_un& addr) {
 }
 
 }  // namespace
-
-Status set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::io_error("fcntl(O_NONBLOCK): %s", std::strerror(errno));
-  }
-  return Status();
-}
 
 Status unix_listen(const std::string& path, int& fd_out) {
   sockaddr_un addr;

@@ -30,8 +30,6 @@ Status unix_accept(int listen_fd, int& fd_out);
 // serve_accept_fail fault point dropping a connection on the floor.
 Status unix_connect(const std::string& path, double timeout_sec, int& fd_out);
 
-Status set_nonblocking(int fd);
-
 // Receives the next complete frame, polling `fd` until `timeout_sec`
 // elapses (<= 0: wait forever). EOF before a full frame arrives is an
 // io_error ("connection closed"), a torn frame a corrupt Status, an expired

@@ -104,6 +104,22 @@ TEST(IpcCodec, PodStringAndFloatVecRoundTrip) {
   Status bad = ipc_parse_pod(buf, off, trailing, "trailing");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.to_string().find("trailing"), std::string::npos);
+
+  // A count larger than the bytes after it is corrupt before any resize;
+  // a count of exactly the remaining bytes is fine.
+  std::string counted;
+  ipc_append_pod(counted, std::uint32_t{3});
+  counted += "ab";
+  std::size_t coff = 0;
+  std::uint32_t n = 0;
+  Status oversized = ipc_parse_count(counted, coff, n, "widget count");
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.code(), StatusCode::kCorrupt);
+  EXPECT_NE(oversized.to_string().find("widget count"), std::string::npos);
+  counted += "c";
+  coff = 0;
+  ASSERT_TRUE(ipc_parse_count(counted, coff, n, "widget count").ok());
+  EXPECT_EQ(n, 3u);
 }
 
 #ifndef _WIN32
