@@ -28,7 +28,7 @@ std::string format_progress_line(const ProgressEvent& event) {
 void StderrProgress::on_event(const ProgressEvent& event) {
   std::FILE* stream = stream_ != nullptr ? stream_ : stderr;
   std::string line = format_progress_line(event);
-  std::fprintf(stream, "%s%s\n", prefix_.c_str(), line.c_str());
+  std::fprintf(stream, "%s\n", line.c_str());
 }
 
 }  // namespace rlccd

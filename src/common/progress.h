@@ -1,10 +1,9 @@
-// Shared ProgressObserver implementations for the CLI tools. One line per
+// ProgressObserver implementation for the CLI (`--progress`). One line per
 // event, e.g.
 //
 //   [flow] useful_skew      #2 1.204s tns=-113.220 nve=41.000
 //
-// Kept in the library (not per-tool copies) so the format is tested once
-// and every tool renders identically.
+// Kept in the library so the format is tested there.
 #pragma once
 
 #include <cstdio>
@@ -19,17 +18,14 @@ namespace rlccd {
 // with three decimals.
 [[nodiscard]] std::string format_progress_line(const ProgressEvent& event);
 
-// Streams each event as one line to a stdio stream (stderr by default),
-// with an optional fixed prefix (smoke_flow indents by two spaces).
+// Streams each event as one line to a stdio stream (stderr by default).
 class StderrProgress : public ProgressObserver {
  public:
-  explicit StderrProgress(std::string prefix = {}, std::FILE* stream = nullptr)
-      : prefix_(std::move(prefix)), stream_(stream) {}
+  explicit StderrProgress(std::FILE* stream = nullptr) : stream_(stream) {}
 
   void on_event(const ProgressEvent& event) override;
 
  private:
-  std::string prefix_;
   std::FILE* stream_;  // nullptr means stderr (resolved at call time)
 };
 

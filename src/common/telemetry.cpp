@@ -382,7 +382,7 @@ ScopedSpan::~ScopedSpan() {
   node->total_sec += elapsed;
 
   // Flight-recorder hook: one Chrome-trace complete event per span close.
-  // Compiled out under RLCCD_NO_TRACE; one relaxed atomic load otherwise.
+  // One relaxed atomic load while the recorder is disabled.
   RLCCD_TRACE_COMPLETE(node->name, start_sec_, elapsed);
   if (EventRing::enabled()) EventRing::global().note("span_close", node->name);
 

@@ -8,11 +8,8 @@
 // that chrome://tracing and Perfetto load directly.
 //
 // Design constraints, in order:
-//   * Zero overhead when compiled out: configure with -DRLCCD_TRACE=OFF and
-//     the RLCCD_TRACE_* macros expand to nothing — the ScopedSpan hot path
-//     is byte-identical to a build without this header.
-//   * Near-zero overhead when compiled in but not enabled (the default at
-//     runtime): one relaxed atomic load per span close.
+//   * Near-zero overhead when not enabled (the default at runtime): one
+//     relaxed atomic load per span close.
 //   * Bounded memory when enabled: each thread records into a fixed-size
 //     ring buffer (single producer, no locks on the record path); when the
 //     ring wraps, the oldest events are overwritten and the registry
@@ -144,12 +141,7 @@ void append_chrome_process_name(std::string& out, int pid,
 // RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec) — one closed span.
 // RLCCD_TRACE_INSTANT(name)                      — a point-in-time marker.
 //
-// Compiled out entirely (expands to a void no-op, no argument evaluation)
-// when the build defines RLCCD_NO_TRACE (cmake -DRLCCD_TRACE=OFF).
-#ifdef RLCCD_NO_TRACE
-#define RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec) ((void)0)
-#define RLCCD_TRACE_INSTANT(name) ((void)0)
-#else
+// Arguments are evaluated only when the recorder is enabled.
 #define RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec)                   \
   do {                                                                   \
     if (::rlccd::TraceRecorder::enabled()) {                             \
@@ -163,6 +155,5 @@ void append_chrome_process_name(std::string& out, int pid,
       ::rlccd::TraceRecorder::record_instant(name);                      \
     }                                                                    \
   } while (0)
-#endif
 
 }  // namespace rlccd

@@ -231,12 +231,12 @@ std::vector<WorkerOutcome> RolloutSupervisor::run(const WorkerJob& job) {
 
   // Child trace events stitch into the parent timeline on the child's pid
   // row. A frame that fails to decode is dropped whole — a torn delta can
-  // never half-apply.
+  // never half-apply. Children ship trace events only (numeric telemetry
+  // rides the result wire), so there is nothing to merge into the registry.
   auto on_frame = [&](int pid, Frame& frame) {
     if (frame.type != static_cast<std::uint8_t>(FrameType::kTelemetry)) return;
     ObsDelta d;
     if (!d.decode(frame.payload).ok()) return;
-    reg.merge_delta(d.telemetry);
     TraceRecorder::global().import_events(
         d.source_pid > 0 ? d.source_pid : pid, d.trace_events);
   };

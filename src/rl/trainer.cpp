@@ -28,7 +28,6 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
       evaluator_(design, config_.flow) {
   RLCCD_EXPECTS(design != nullptr && policy != nullptr);
   RLCCD_EXPECTS(config.workers >= 1);
-  RLCCD_EXPECTS(config.checkpoint_every >= 1);
   RLCCD_EXPECTS(config.rollback_after >= 1);
   // With isolated workers the reward flows run inside forked children:
   // a flow observer would fire against copy-on-write state and a parent
@@ -606,8 +605,7 @@ TrainStats ReinforceTrainer::train() {
         iter, is.mean_tns, stats.best_tns, stats.default_tns, is.mean_steps);
 
     last_good = capture(iter + 1);
-    if (!config_.checkpoint_dir.empty() &&
-        stats.iterations % config_.checkpoint_every == 0) {
+    if (!config_.checkpoint_dir.empty()) {
       const std::string path =
           checkpoint_path(config_.checkpoint_dir, stats.iterations);
       Status s = save_checkpoint(last_good, path);

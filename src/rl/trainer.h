@@ -65,9 +65,9 @@ struct TrainConfig {
   AuditSink* audit = nullptr;
 
   // --- Fault tolerance ---
-  // Directory for ckpt-NNNNNN.rlccd files; empty disables checkpointing.
+  // Directory for ckpt-NNNNNN.rlccd files, one written after every
+  // completed iteration; empty disables checkpointing.
   std::string checkpoint_dir;
-  int checkpoint_every = 1;  // write every N completed iterations
   // Resume from the newest valid checkpoint in checkpoint_dir (falling back
   // to older ones when the newest is corrupt). A resumed run replays the
   // remaining iterations bit-identically to an uninterrupted run.

@@ -40,6 +40,12 @@ namespace serve {
 
 namespace {
 
+constexpr int kMaxClients = 64;
+// A client whose unsent output passes this bound is disconnected
+// (backpressure: a stalled reader must not buffer the daemon into the
+// ground).
+constexpr std::size_t kClientOutbufLimit = 8u << 20;
+
 // ===========================================================================
 // Child side: one forked process per job attempt.
 // ===========================================================================
@@ -188,11 +194,10 @@ std::uint32_t result_digest(const TrainStats& stats) {
         to_generator_config(find_block(job.spec.block), job.spec.scale));
     RlCcdConfig rc = RlCcdConfig::for_design(design);
     rc.train.max_iterations = job.spec.iters;
-    rc.train.patience = job.spec.iters;  // fixed-length, like smoke_rl
+    rc.train.patience = job.spec.iters;  // fixed-length: no early stop
     rc.train.workers = job.spec.rollout_workers;
     rc.train.seed = job.spec.seed;
     rc.train.checkpoint_dir = job.workspace + "/ckpts";
-    rc.train.checkpoint_every = 1;
     rc.train.resume = job.resume;
     rc.train.cancel = &cancel;
     rc.train.observer = &progress;
@@ -320,7 +325,7 @@ struct DaemonLoop {
     if (c.dead) return;
     append_frame(c.outbuf, static_cast<std::uint8_t>(type), payload);
     flush_client(c);
-    if (c.outbuf.size() > cfg.client_outbuf_limit) {
+    if (c.outbuf.size() > kClientOutbufLimit) {
       RLCCD_LOG_WARN("serve: client fd %d over outbuf limit (%zu bytes); "
                      "dropping (backpressure)",
                      c.fd, c.outbuf.size());
@@ -1127,9 +1132,9 @@ struct DaemonLoop {
         ::close(fd);
         continue;
       }
-      if (static_cast<int>(clients.size()) >= cfg.max_clients) {
+      if (static_cast<int>(clients.size()) >= kMaxClients) {
         RLCCD_LOG_WARN("serve: client limit %d reached; refusing fd %d",
-                       cfg.max_clients, fd);
+                       kMaxClients, fd);
         ::close(fd);
         continue;
       }

@@ -692,33 +692,22 @@ double Sta::endpoint_hold_slack(PinId endpoint) const {
   return store_.arrival_min(i) - (capture + lc.hold_time);
 }
 
-void Sta::endpoint_slacks(std::span<const PinId> endpoints,
-                          std::vector<double>& out) const {
-  out.clear();
-  out.reserve(endpoints.size());
-  for (PinId ep : endpoints) {
-    out.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kInf);
-  }
-}
-
 std::vector<double> Sta::endpoint_slacks(
     std::span<const PinId> endpoints) const {
   std::vector<double> slacks;
-  endpoint_slacks(endpoints, slacks);
-  return slacks;
-}
-
-void Sta::endpoint_violations(std::vector<PinId>& out) const {
-  out.clear();
-  for (PinId ep : graph_.endpoints()) {
-    double s = endpoint_slack(ep);
-    if (s < 0.0 && s > -kInf) out.push_back(ep);
+  slacks.reserve(endpoints.size());
+  for (PinId ep : endpoints) {
+    slacks.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kInf);
   }
+  return slacks;
 }
 
 std::vector<PinId> Sta::endpoint_violations() const {
   std::vector<PinId> out;
-  endpoint_violations(out);
+  for (PinId ep : graph_.endpoints()) {
+    double s = endpoint_slack(ep);
+    if (s < 0.0 && s > -kInf) out.push_back(ep);
+  }
   return out;
 }
 

@@ -143,16 +143,10 @@ class Sta {
   [[nodiscard]] double endpoint_slack(PinId endpoint) const;
   [[nodiscard]] double endpoint_hold_slack(PinId endpoint) const;
   // Bulk form: slack per pin in `endpoints` order; non-endpoints get +inf
-  // (callers passing a prioritized list need not pre-filter). The
-  // out-parameter overload reuses the caller's buffer (cleared first) —
-  // the opt passes call this every flow pass.
-  void endpoint_slacks(std::span<const PinId> endpoints,
-                       std::vector<double>& out) const;
+  // (callers passing a prioritized list need not pre-filter).
   [[nodiscard]] std::vector<double> endpoint_slacks(
       std::span<const PinId> endpoints) const;
-  // Endpoints with slack < 0, in stable order; the out-parameter overload
-  // reuses the caller's buffer (cleared first).
-  void endpoint_violations(std::vector<PinId>& out) const;
+  // Endpoints with slack < 0, in stable order.
   [[nodiscard]] std::vector<PinId> endpoint_violations() const;
 
   [[nodiscard]] TimingSummary summary() const;

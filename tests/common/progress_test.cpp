@@ -68,7 +68,7 @@ TEST(ProgressFormat, StepColumnPadsShortNames) {
 TEST(StderrProgressTest, WritesPrefixedLineToStream) {
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
-  StderrProgress observer("  ", tmp);
+  StderrProgress observer(tmp);
 
   const std::array<ProgressMetric, 1> metrics = {{{"wns", -0.5}}};
   ProgressEvent e;
@@ -83,7 +83,7 @@ TEST(StderrProgressTest, WritesPrefixedLineToStream) {
   char buf[256] = {};
   ASSERT_NE(std::fgets(buf, sizeof(buf), tmp), nullptr);
   std::fclose(tmp);
-  EXPECT_STREQ(buf, "  [flow] final_sta        0.250s wns=-0.500\n");
+  EXPECT_STREQ(buf, "[flow] final_sta        0.250s wns=-0.500\n");
 }
 
 }  // namespace

@@ -35,11 +35,6 @@ const JsonValue* find_event(const JsonValue& doc, std::string_view name) {
   return nullptr;
 }
 
-// Everything below the gate exercises the record path, which only exists
-// when tracing is compiled in; the RLCCD_TRACE=OFF build keeps the
-// always-valid behaviors (empty export, no-op macros) tested at the bottom.
-#ifndef RLCCD_NO_TRACE
-
 TEST_F(TraceTest, ChromeJsonIsStructurallyValid) {
   TraceRecorder& rec = TraceRecorder::global();
   rec.enable();
@@ -116,8 +111,6 @@ TEST_F(TraceTest, EnableClampsTinyCapacities) {
   EXPECT_EQ(rec.dropped_events(), 0u);
 }
 
-#endif  // RLCCD_NO_TRACE
-
 TEST_F(TraceTest, DisabledRecorderBuffersNothing) {
   TraceRecorder& rec = TraceRecorder::global();
   rec.enable();
@@ -133,8 +126,6 @@ TEST_F(TraceTest, DisabledRecorderBuffersNothing) {
   JsonValue doc = parse_trace(rec);
   EXPECT_EQ(find_event(doc, "while_disabled"), nullptr);
 }
-
-#ifndef RLCCD_NO_TRACE
 
 TEST_F(TraceTest, ReEnableDropsPreviousBuffer) {
   TraceRecorder& rec = TraceRecorder::global();
@@ -185,9 +176,6 @@ TEST_F(TraceTest, WorkerThreadEventsSurviveJoin) {
       << "each thread exports its own timeline row";
 }
 
-#endif  // RLCCD_NO_TRACE
-
-#ifndef RLCCD_NO_TRACE
 TEST_F(TraceTest, MacrosDoNotEvaluateArgumentsWhenDisabled) {
   // The runtime gate must short-circuit before any work happens; building
   // the name below would be visible as a buffered event if it did not.
@@ -204,20 +192,6 @@ TEST_F(TraceTest, MacrosDoNotEvaluateArgumentsWhenDisabled) {
   EXPECT_EQ(evaluations, 0) << "arguments sit behind the enabled() branch";
   EXPECT_EQ(TraceRecorder::global().buffered_events(), buffered_before);
 }
-#else
-TEST_F(TraceTest, MacrosCompileOutEntirely) {
-  // Under RLCCD_NO_TRACE the macros must not evaluate their arguments.
-  int evaluations = 0;
-  auto name = [&evaluations]() -> std::string {
-    ++evaluations;
-    return "never";
-  };
-  (void)name;
-  RLCCD_TRACE_INSTANT(name());
-  RLCCD_TRACE_COMPLETE(name(), 0.0, 1.0);
-  EXPECT_EQ(evaluations, 0);
-}
-#endif
 
 }  // namespace
 }  // namespace rlccd

@@ -6,29 +6,35 @@
 //   rlccd_cli train    <block> [--scale S] [--iters N] [--workers N]
 //                      [--rho R] [--gnn-in FILE] [--gnn-out FILE]
 //
-// Shared flags (tools/common_args.h, `rlccd_cli --help` lists them):
-// flight-recorder artifacts (--metrics-json / --metrics-csv / --trace-json /
-// --audit-jsonl / --progress) and fault tolerance (--checkpoint-dir /
-// --resume / --rollout-deadline / --isolate-workers / --max-worker-restarts).
-// Feed the artifacts to rlccd_report.
+// Every command also takes the flight-recorder artifact flags
+// (--metrics-json / --metrics-csv / --metrics-prom / --trace-json /
+// --audit-jsonl / --progress); `train` takes the fault-tolerance flags
+// (--checkpoint-dir / --resume / --rollout-deadline / --isolate-workers /
+// --max-worker-restarts). `rlccd_cli --help` lists every flag, generated
+// from the same table the parser matches against. Feed the artifacts to
+// rlccd_report.
 //
 // Blocks are the paper's Table-II names (block1..block19); a plain number
 // generates an anonymous design with that many cells.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "common/log.h"
 #include "common/progress.h"
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/rlccd.h"
 #include "designgen/blocks.h"
 #include "netlist/serialize.h"
 #include "netlist/stats.h"
 #include "rl/audit.h"
 #include "sta/path.h"
-#include "tools/common_args.h"
 
 using namespace rlccd;
 
@@ -45,8 +51,84 @@ struct Args {
   std::string out;
   std::string gnn_in;
   std::string gnn_out;
-  tools::CommonArgs common;
+  // Flight-recorder artifacts.
+  std::string metrics_json;
+  std::string metrics_csv;
+  std::string metrics_prom;
+  std::string trace_json;
+  std::string audit_jsonl;
+  bool progress = false;
+  // Fault tolerance.
+  std::string checkpoint_dir;
+  bool resume = false;
+  double rollout_deadline_sec = 0.0;
+  bool isolate_workers = false;
+  int max_worker_restarts = -1;  // < 0: keep the TrainConfig default
 };
+
+// One flag: the member it writes fixes the value type. `value_name` being
+// null marks a boolean flag (no value token).
+struct FlagSpec {
+  const char* name;
+  const char* value_name;
+  const char* help;
+  std::variant<std::string Args::*, double Args::*, int Args::*,
+               std::uint64_t Args::*, bool Args::*>
+      field;
+};
+
+const FlagSpec kFlags[] = {
+    {"--scale", "S", "block size as a fraction of the paper's cell count",
+     &Args::scale},
+    {"--seed", "N", "design generator seed", &Args::seed},
+    {"--iters", "N", "train: REINFORCE iterations", &Args::iters},
+    {"--workers", "N", "train: rollouts per iteration", &Args::workers},
+    {"--rho", "R", "train: endpoint cone-overlap threshold", &Args::rho},
+    {"--out", "FILE", "generate: write the netlist here", &Args::out},
+    {"--gnn-in", "FILE", "train: start from these EP-GNN weights",
+     &Args::gnn_in},
+    {"--gnn-out", "FILE", "train: write the trained EP-GNN weights",
+     &Args::gnn_out},
+    {"--metrics-json", "FILE",
+     "write the telemetry registry as JSON after the command",
+     &Args::metrics_json},
+    {"--metrics-csv", "FILE",
+     "write the telemetry counters/histograms as CSV", &Args::metrics_csv},
+    {"--metrics-prom", "FILE",
+     "write the telemetry registry as Prometheus text exposition",
+     &Args::metrics_prom},
+    {"--trace-json", "FILE",
+     "record a Chrome-trace timeline (Perfetto / chrome://tracing)",
+     &Args::trace_json},
+    {"--audit-jsonl", "FILE",
+     "stream RL decision provenance as JSON Lines during training",
+     &Args::audit_jsonl},
+    {"--progress", nullptr, "stream per-pass / per-iteration events to stderr",
+     &Args::progress},
+    {"--checkpoint-dir", "DIR",
+     "persist training checkpoints here (empty: disabled)",
+     &Args::checkpoint_dir},
+    {"--resume", nullptr,
+     "resume from the newest valid checkpoint in --checkpoint-dir",
+     &Args::resume},
+    {"--rollout-deadline", "SECS",
+     "per-rollout watchdog deadline; <= 0 disables",
+     &Args::rollout_deadline_sec},
+    {"--isolate-workers", nullptr,
+     "run each rollout in a forked, supervised child process",
+     &Args::isolate_workers},
+    {"--max-worker-restarts", "N",
+     "restarts allowed per isolated worker per iteration",
+     &Args::max_worker_restarts},
+};
+
+void set_value(std::string& f, const char* v) { f = v; }
+void set_value(double& f, const char* v) { f = std::atof(v); }
+void set_value(int& f, const char* v) { f = std::atoi(v); }
+void set_value(std::uint64_t& f, const char* v) {
+  f = std::strtoull(v, nullptr, 10);
+}
+void set_value(bool& f, const char*) { f = true; }
 
 StderrProgress g_progress;
 
@@ -57,47 +139,106 @@ std::unique_ptr<JsonlAuditWriter> g_audit;
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: rlccd_cli <generate|sta|flow|train> <block|cells> "
-               "[--scale S] [--seed N] [--iters N] [--workers N] [--rho R] "
-               "[--out FILE] [--gnn-in FILE] [--gnn-out FILE] %s\n",
-               tools::common_usage_fragment().c_str());
-  tools::print_common_help(out);
+               "[flags]\nflags:\n");
+  for (const FlagSpec& spec : kFlags) {
+    char left[48];
+    std::snprintf(left, sizeof(left), "%s %s", spec.name,
+                  spec.value_name != nullptr ? spec.value_name : "");
+    std::fprintf(out, "  %-28s %s\n", left, spec.help);
+  }
+}
+
+const FlagSpec* find_flag(const char* name) {
+  for (const FlagSpec& spec : kFlags) {
+    if (std::strcmp(name, spec.name) == 0) return &spec;
+  }
+  return nullptr;
 }
 
 bool parse(int argc, char** argv, Args& args) {
   if (argc < 3) return false;
   args.command = argv[1];
   args.target = argv[2];
-  bool ok = true;
   for (int i = 3; i < argc; ++i) {
-    if (tools::parse_common_flag(argc, argv, i, args.common, ok)) {
-      if (!ok) return false;
-      continue;
-    }
-    std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (flag == "--scale" && (v = next())) {
-      args.scale = std::atof(v);
-    } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::strtoull(v, nullptr, 10);
-    } else if (flag == "--iters" && (v = next())) {
-      args.iters = std::atoi(v);
-    } else if (flag == "--workers" && (v = next())) {
-      args.workers = std::atoi(v);
-    } else if (flag == "--rho" && (v = next())) {
-      args.rho = std::atof(v);
-    } else if (flag == "--out" && (v = next())) {
-      args.out = v;
-    } else if (flag == "--gnn-in" && (v = next())) {
-      args.gnn_in = v;
-    } else if (flag == "--gnn-out" && (v = next())) {
-      args.gnn_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+    const FlagSpec* spec = find_flag(argv[i]);
+    if (spec == nullptr) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
     }
+    const char* v = nullptr;
+    if (spec->value_name != nullptr) {
+      if (++i >= argc) {
+        std::fprintf(stderr, "%s requires a %s value\n", spec->name,
+                     spec->value_name);
+        return false;
+      }
+      v = argv[i];
+    }
+    std::visit([&](auto member) { set_value(args.*member, v); }, spec->field);
+  }
+  return true;
+}
+
+void apply_train_args(const Args& args, TrainConfig& train) {
+  train.checkpoint_dir = args.checkpoint_dir;
+  train.resume = args.resume;
+  train.rollout_deadline_sec = args.rollout_deadline_sec;
+  train.isolate_workers = args.isolate_workers;
+  if (args.max_worker_restarts >= 0) {
+    train.max_worker_restarts = args.max_worker_restarts;
+  }
+}
+
+// Pre-command artifact setup: arms the Chrome-trace recorder when
+// --trace-json was given and opens the --audit-jsonl stream.
+bool open_artifacts(const Args& args) {
+  if (!args.trace_json.empty()) TraceRecorder::global().enable();
+  if (!args.audit_jsonl.empty()) {
+    Status s = JsonlAuditWriter::open(args.audit_jsonl, g_audit);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.to_string().c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// Post-command artifact writing: telemetry JSON/CSV/Prometheus, the Chrome
+// trace and the audit close, each announced on stdout.
+bool write_artifacts(const Args& args) {
+  using Writer = bool (MetricsRegistry::*)(const std::string&) const;
+  const std::pair<const std::string*, Writer> metrics[] = {
+      {&args.metrics_json, &MetricsRegistry::write_json},
+      {&args.metrics_csv, &MetricsRegistry::write_csv},
+      {&args.metrics_prom, &MetricsRegistry::write_prometheus},
+  };
+  for (const auto& [path, write] : metrics) {
+    if (path->empty()) continue;
+    if (!(MetricsRegistry::global().*write)(*path)) {
+      std::fprintf(stderr, "cannot write %s\n", path->c_str());
+      return false;
+    }
+    std::printf("telemetry written to %s\n", path->c_str());
+  }
+  if (!args.trace_json.empty()) {
+    TraceRecorder& rec = TraceRecorder::global();
+    rec.disable();
+    if (!rec.write_chrome_json(args.trace_json)) {
+      std::fprintf(stderr, "cannot write %s\n", args.trace_json.c_str());
+      return false;
+    }
+    std::printf("trace written to %s (%llu events, %llu dropped)\n",
+                args.trace_json.c_str(),
+                static_cast<unsigned long long>(rec.buffered_events()),
+                static_cast<unsigned long long>(rec.dropped_events()));
+  }
+  if (g_audit != nullptr) {
+    Status s = g_audit->close();
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.to_string().c_str());
+      return false;
+    }
+    std::printf("audit written to %s\n", args.audit_jsonl.c_str());
   }
   return true;
 }
@@ -156,7 +297,7 @@ int cmd_flow(const Args& args) {
   Netlist work = *d.netlist;
   FlowConfig cfg =
       default_flow_config(work.num_real_cells(), d.clock_period);
-  if (args.common.progress) cfg.observer = &g_progress;
+  if (args.progress) cfg.observer = &g_progress;
   FlowInput input{d.sta_config, d.clock_period, d.die, d.pi_toggles};
   FlowResult r = run_placement_flow(work, input, cfg);
   std::printf("begin : WNS %.3f  TNS %.2f  NVE %zu  power %.2f mW\n",
@@ -177,9 +318,9 @@ int cmd_train(const Args& args) {
   cfg.train.max_iterations = args.iters;
   cfg.train.workers = args.workers;
   cfg.train.overlap_threshold = args.rho;
-  tools::apply_train_args(args.common, cfg.train);
+  apply_train_args(args, cfg.train);
   cfg.pretrained_gnn = args.gnn_in;
-  if (args.common.progress) cfg.observer = &g_progress;
+  if (args.progress) cfg.observer = &g_progress;
   if (g_audit != nullptr) cfg.audit = g_audit.get();
   RlCcd agent(&d, cfg);
   RlCcdResult r = agent.run();
@@ -215,7 +356,7 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  if (!tools::open_common_artifacts(args.common, g_audit)) return 1;
+  if (!open_artifacts(args)) return 1;
   int rc = -1;
   if (args.command == "generate") rc = cmd_generate(args);
   else if (args.command == "sta") rc = cmd_sta(args);
@@ -225,6 +366,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command: %s\n", args.command.c_str());
     return 2;
   }
-  if (!tools::write_common_artifacts(args.common, g_audit.get())) return 1;
+  if (!write_artifacts(args)) return 1;
   return rc;
 }
