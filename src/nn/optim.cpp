@@ -4,34 +4,9 @@
 
 namespace rlccd {
 
-Sgd::Sgd(std::vector<Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].size(), 0.0f);
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    const std::vector<float>& g = p.grad();
-    float* value = p.data();
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      if (momentum_ > 0.0) {
-        velocity_[i][j] = static_cast<float>(momentum_ * velocity_[i][j] -
-                                             lr_ * g[j]);
-        value[j] += velocity_[i][j];
-      } else {
-        value[j] -= static_cast<float>(lr_ * g[j]);
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
            double eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

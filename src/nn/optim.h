@@ -1,6 +1,6 @@
-// Optimizers over parameter tensors: SGD (with optional momentum) and Adam.
-// State (momentum / moment estimates) is keyed positionally, so the same
-// parameter list must be passed at construction and kept stable.
+// Adam over parameter tensors. State (moment estimates) is keyed
+// positionally, so the same parameter list must be passed at construction and
+// kept stable.
 #pragma once
 
 #include <vector>
@@ -10,38 +10,15 @@
 
 namespace rlccd {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9,
+       double beta2 = 0.999, double eps = 1e-8);
 
   void zero_grad() {
     for (Tensor& p : params_) p.zero_grad();
   }
-  virtual void step() = 0;
-
-  [[nodiscard]] const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, double lr, double momentum = 0.0);
-  void step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
-  void step() override;
+  void step();
 
   // Full optimizer state (step count + moment estimates), for training
   // checkpoints: restoring it makes subsequent steps bit-identical to an
@@ -55,6 +32,7 @@ class Adam final : public Optimizer {
   Status import_state(const State& state);
 
  private:
+  std::vector<Tensor> params_;
   double lr_, beta1_, beta2_, eps_;
   long t_ = 0;
   std::vector<std::vector<float>> m_, v_;

@@ -7,8 +7,13 @@
 // EP-GNN, the LSTM encoder, the attention decoder and REINFORCE need — but
 // exact: every op has an analytic gradient validated against finite
 // differences in tests/nn/gradcheck_test.cpp.
+//
+// Storage of large tensors is recycled per thread (tensor_storage below), and
+// a NoGradScope turns graph recording off for inference; neither changes a
+// computed value.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -16,6 +21,47 @@
 #include "common/contracts.h"
 
 namespace rlccd {
+
+// Per-thread free list of float buffers, keyed by exact element count. A
+// destroyed tensor returns its value and grad buffers here, and the next
+// tensor of the same size on that thread takes them instead of mapping fresh
+// pages: at 9K cells every N x 32 intermediate is larger than glibc's mmap
+// threshold, so without reuse each one faults its pages in and is unmapped
+// again. Buffers are handed out filled exactly as a fresh one would be.
+namespace tensor_storage {
+
+// 64 KiB. Smaller buffers come from malloc's own free lists cheaply; pooling
+// them would only add bookkeeping.
+inline constexpr std::size_t kMinPooledFloats = std::size_t{16} << 10;
+// Bound on one thread's pooled bytes. A training step at 9K cells frees about
+// 60 MiB of graph at once; the cap keeps that whole working set. A release
+// that would overflow it empties the pool first, so buffers of sizes that
+// never come back cannot pin it full.
+inline constexpr std::size_t kPoolCapBytes = std::size_t{128} << 20;
+
+// A buffer of n elements, every one equal to `fill`.
+std::vector<float> take(std::size_t n, float fill);
+// Returns `buffer` to the calling thread's pool, or frees it (too small, or
+// the thread's pool is already destroyed at thread exit).
+void give(std::vector<float>&& buffer);
+// Bytes pooled on the calling thread.
+std::size_t pooled_bytes();
+
+}  // namespace tensor_storage
+
+// While a NoGradScope is alive on a thread, ops record no graph there: every
+// result is a constant (no parents, no backward_fn, requires_grad false).
+// Values are bit-equal to the recording path. Scopes nest.
+class NoGradScope {
+ public:
+  explicit NoGradScope(bool active = true);
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 struct TensorImpl {
   std::size_t rows = 0;
@@ -29,9 +75,17 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void()> backward_fn;
 
+  TensorImpl() = default;
+  TensorImpl(const TensorImpl&) = delete;
+  TensorImpl& operator=(const TensorImpl&) = delete;
+  ~TensorImpl();  // gives value and grad back to tensor_storage
+
   [[nodiscard]] std::size_t size() const { return rows * cols; }
   void ensure_grad() {
-    if (grad.size() != value.size()) grad.assign(value.size(), 0.0f);
+    if (grad.size() != value.size()) {
+      tensor_storage::give(std::move(grad));
+      grad = tensor_storage::take(value.size(), 0.0f);
+    }
   }
 };
 
@@ -113,7 +167,9 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
-// Creates a result node whose requires_grad is the OR of the parents'.
+// Creates a zero-filled result node whose requires_grad is the OR of the
+// parents'. Inside a NoGradScope the parents are dropped and the result is a
+// constant.
 Tensor make_result(std::size_t rows, std::size_t cols,
                    std::vector<std::shared_ptr<TensorImpl>> parents);
 

@@ -62,6 +62,7 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
   if (audit != nullptr) audit->clear();
   const bool stepwise = mode != RolloutMode::FullGraph;
   const bool backward = mode == RolloutMode::StepwiseBackward;
+  const NoGradScope no_grad(mode == RolloutMode::Inference);
   if (!stepwise) {
     result.log_prob_sum = Tensor::zeros(1, 1, /*requires_grad=*/true);
   }
@@ -71,20 +72,31 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
 
   while (!env.done()) {
     // 1. EP-GNN encoding with the current masked flags (Alg. 1 line 6).
-    Tensor x = graph.features_with_mask(env.cell_mask_flags());
-    Tensor f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
-                               graph.endpoint_rows());
+    Tensor f_ep;
+    {
+      RLCCD_SPAN("gnn_encode");
+      Tensor x = graph.features_with_mask(env.cell_mask_flags());
+      f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
+                          graph.endpoint_rows());
+    }
 
     // 2. LSTM query from the previous action's embedding (Alg. 1 lines 7-8).
-    state = lstm_.forward(prev_embedding, state);
+    {
+      RLCCD_SPAN("lstm");
+      state = lstm_.forward(prev_embedding, state);
+    }
     const Tensor& q = state.h;  // [1, hidden]
 
     // 3. Attention scores over all endpoints (Eq. 5):
     //    A_i = v^T tanh(W1 f_i + W2 q).
-    Tensor scores = ops::matmul(
-        ops::tanh_op(ops::add_rowvec(ops::matmul(f_ep, attn_w1_),
-                                     ops::matmul(q, attn_w2_))),
-        attn_v_);  // [n, 1]
+    Tensor scores;
+    {
+      RLCCD_SPAN("attention");
+      scores = ops::matmul(
+          ops::tanh_op(ops::add_rowvec(ops::matmul(f_ep, attn_w1_),
+                                       ops::matmul(q, attn_w2_))),
+          attn_v_);  // [n, 1]
+    }
 
     // Numerical-health guard: a NaN/Inf logit would poison the softmax, the
     // sampled action and (via backward) every parameter gradient. Stop the
@@ -109,31 +121,35 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
     }
 
     // 4. Masked softmax + sampling (Eq. 6, Alg. 1 line 10).
-    Tensor log_probs = ops::masked_log_softmax(scores, env.valid());
-    std::size_t action;
-    if (greedy) {
-      action = 0;
-      float best = -1e30f;
-      for (std::size_t i = 0; i < log_probs.rows(); ++i) {
-        if (env.valid()[i] && log_probs.at(i, 0) > best) {
-          best = log_probs.at(i, 0);
-          action = i;
+    Tensor log_probs;
+    std::size_t action = 0;
+    Tensor log_p;
+    {
+      RLCCD_SPAN("sample");
+      log_probs = ops::masked_log_softmax(scores, env.valid());
+      if (greedy) {
+        float best = -1e30f;
+        for (std::size_t i = 0; i < log_probs.rows(); ++i) {
+          if (env.valid()[i] && log_probs.at(i, 0) > best) {
+            best = log_probs.at(i, 0);
+            action = i;
+          }
         }
+      } else {
+        std::vector<float> probs(log_probs.rows());
+        for (std::size_t i = 0; i < probs.size(); ++i) {
+          probs[i] = env.valid()[i] ? std::exp(log_probs.at(i, 0)) : 0.0f;
+        }
+        action = rng.sample_probabilities(probs);
       }
-    } else {
-      std::vector<float> probs(log_probs.rows());
-      for (std::size_t i = 0; i < probs.size(); ++i) {
-        probs[i] = env.valid()[i] ? std::exp(log_probs.at(i, 0)) : 0.0f;
-      }
-      action = rng.sample_probabilities(probs);
+      RLCCD_ASSERT(env.valid()[action]);
+      log_p = ops::pick(log_probs, action, 0);
     }
-    RLCCD_ASSERT(env.valid()[action]);
-
-    Tensor log_p = ops::pick(log_probs, action, 0);
     result.log_prob_value += log_p.item();
     if (backward) {
       // Accumulate grad(log pi_t) into the parameter grads now and free
       // this step's graph; the caller scales by the advantage later.
+      RLCCD_SPAN("step_backward");
       log_p.backward();
     } else if (!stepwise) {
       result.log_prob_sum = ops::add(result.log_prob_sum, log_p);
@@ -159,7 +175,10 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
       state.h = state.h.detach_copy();
       state.c = state.c.detach_copy();
     }
-    env.step(action, audit_step != nullptr ? &audit_step->masked : nullptr);
+    {
+      RLCCD_SPAN("env_step");
+      env.step(action, audit_step != nullptr ? &audit_step->masked : nullptr);
+    }
     ++result.steps;
   }
 

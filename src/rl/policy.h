@@ -47,8 +47,10 @@ class Policy {
     // the advantage, so the caller scales the accumulated grads afterwards
     // (ReinforceTrainer does). Parameter grads must be zero on entry.
     StepwiseBackward,
-    // No gradients at all: per-step graphs are dropped immediately.
-    // For greedy decoding / evaluation rollouts.
+    // No gradients at all: the rollout runs under a NoGradScope, so no op
+    // records a graph and each intermediate is freed as soon as its consumer
+    // has run. Values are bit-equal to the other modes. For greedy decoding
+    // / evaluation rollouts.
     Inference,
   };
 

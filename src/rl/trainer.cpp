@@ -521,7 +521,10 @@ TrainStats ReinforceTrainer::train() {
       }
     }
     const double grad_norm = clip_grad_norm(master, config_.grad_clip);
-    optimizer.step();
+    {
+      RLCCD_SPAN("adam_step");
+      optimizer.step();
+    }
 
     // Iteration bookkeeping over the surviving trajectories.
     IterationStats is;

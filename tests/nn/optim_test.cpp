@@ -23,21 +23,13 @@ double minimize_quadratic(int steps, Args... args) {
   return x.item();
 }
 
-TEST(Optim, SgdConvergesOnQuadratic) {
-  EXPECT_NEAR(minimize_quadratic<Sgd>(200, 0.1), 3.0, 1e-3);
-}
-
-TEST(Optim, SgdMomentumConverges) {
-  EXPECT_NEAR(minimize_quadratic<Sgd>(200, 0.05, 0.9), 3.0, 1e-2);
-}
-
 TEST(Optim, AdamConvergesOnQuadratic) {
   EXPECT_NEAR(minimize_quadratic<Adam>(400, 0.05), 3.0, 1e-2);
 }
 
 TEST(Optim, ZeroGradClears) {
   Tensor x = Tensor::scalar(1.0f, true);
-  Sgd opt({x}, 0.1);
+  Adam opt({x}, 0.1);
   Tensor y = ops::affine(x, 2.0f, 0.0f);
   y.backward();
   EXPECT_NE(x.grad()[0], 0.0f);

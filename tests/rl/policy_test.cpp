@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+
 namespace rlccd {
 namespace {
 
@@ -128,6 +131,44 @@ TEST(Policy, InferenceModeLeavesGradientsUntouched) {
       ASSERT_EQ(g, 0.0f) << "inference rollouts must not write gradients";
     }
   }
+}
+
+TEST(Policy, GreedyInferenceIsBitEqualOnColdAndWarmPoolsAndToStepwise) {
+  // Large enough that the encoder's N x 32 and N x 13 tensors are pooled.
+  GeneratorConfig cfg;
+  cfg.target_cells = 2000;
+  cfg.seed = 81;
+  cfg.clock_tightness = 0.75;
+  const Design design = generate_design(cfg);
+  const DesignGraph graph(design);
+  ASSERT_GE(design.netlist->num_cells() * 13, tensor_storage::kMinPooledFloats);
+  const Policy policy(PolicyConfig{}, 12);
+
+  auto greedy = [&](Policy::RolloutMode mode) {
+    SelectionEnv env(&graph, 0.3);
+    Rng rng(23);
+    return policy.rollout(graph, env, rng, /*greedy=*/true, mode);
+  };
+  Policy::RolloutResult cold, warm;
+  // A fresh thread starts with an empty pool; its second rollout runs on
+  // the buffers the first one released.
+  std::thread([&] {
+    cold = greedy(Policy::RolloutMode::Inference);
+    EXPECT_GT(tensor_storage::pooled_bytes(), 0u);
+    warm = greedy(Policy::RolloutMode::Inference);
+  }).join();
+  const Policy::RolloutResult stepwise =
+      greedy(Policy::RolloutMode::StepwiseBackward);
+
+  ASSERT_GE(cold.steps, 2);
+  EXPECT_EQ(cold.actions, warm.actions);
+  EXPECT_EQ(cold.actions, stepwise.actions);
+  EXPECT_EQ(std::memcmp(&cold.log_prob_value, &warm.log_prob_value,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&cold.log_prob_value, &stepwise.log_prob_value,
+                        sizeof(double)),
+            0);
 }
 
 TEST(Policy, CloneSharesValuesNotStorage) {
