@@ -53,61 +53,67 @@ struct EditCost {
   std::uint64_t pins_inc = 0;
 };
 
+// One timed pass of the single-edit loop on a fresh copy of the design;
+// returns (seconds, pin updates).
+std::pair<double, std::uint64_t> run_edit_loop(const Design& d,
+                                               bool incremental, int edits) {
+  Netlist work = *d.netlist;
+  StaConfig cfg = d.sta_config;
+  cfg.incremental = incremental;
+  Sta sta(&work, cfg, d.clock_period);
+  sta.run();
+  sta.reset_stats();
+  const Library& lib = work.library();
+
+  std::vector<CellId> cells;
+  for (const Cell& c : work.cells()) {
+    if (!work.is_port(c.id)) cells.push_back(c.id);
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < edits; ++i) {
+    CellId c = cells[static_cast<std::size_t>(i * 37) % cells.size()];
+    LibCellId up = lib.upsize(work.cell(c).lib);
+    LibCellId dn = lib.downsize(work.cell(c).lib);
+    LibCellId next = up.valid() ? up : dn;
+    if (!next.valid()) continue;
+    work.resize_cell(c, next);
+    sta.update();
+  }
+  const double sec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return {sec, sta.stats().pin_updates()};
+}
+
 // Mutation-level comparison: repeated single-cell resizes, re-analyzed after
-// each edit — the access pattern of every greedy optimization loop.
-EditCost measure_single_edits(const Design& d) {
+// each edit — the access pattern of every greedy optimization loop. Each
+// mode keeps its best time over `repeats` interleaved passes; the pin-update
+// counts are deterministic.
+EditCost measure_single_edits(const Design& d, int repeats) {
   const int kEdits = 200;
   EditCost cost;
-  std::uint64_t& pins_full = cost.pins_full;
-  std::uint64_t& pins_inc = cost.pins_inc;
-  double& sec_full = cost.sec_full;
-  double& sec_inc = cost.sec_inc;
-
-  for (int mode = 0; mode < 2; ++mode) {
-    bool incremental = (mode == 1);
-    Netlist work = *d.netlist;
-    StaConfig cfg = d.sta_config;
-    cfg.incremental = incremental;
-    Sta sta(&work, cfg, d.clock_period);
-    sta.run();
-    sta.reset_stats();
-    const Library& lib = work.library();
-
-    std::vector<CellId> cells;
-    for (const Cell& c : work.cells()) {
-      if (!work.is_port(c.id)) cells.push_back(c.id);
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kEdits; ++i) {
-      CellId c = cells[static_cast<std::size_t>(i * 37) % cells.size()];
-      LibCellId up = lib.upsize(work.cell(c).lib);
-      LibCellId dn = lib.downsize(work.cell(c).lib);
-      LibCellId next = up.valid() ? up : dn;
-      if (!next.valid()) continue;
-      work.resize_cell(c, next);
-      sta.update();
-    }
-    double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (incremental) {
-      sec_inc = sec;
-      pins_inc = sta.stats().pin_updates();
-    } else {
-      sec_full = sec;
-      pins_full = sta.stats().pin_updates();
-    }
+  for (int r = 0; r < repeats; ++r) {
+    const auto [full_sec, full_pins] = run_edit_loop(d, false, kEdits);
+    const auto [inc_sec, inc_pins] = run_edit_loop(d, true, kEdits);
+    if (r == 0 || full_sec < cost.sec_full) cost.sec_full = full_sec;
+    if (r == 0 || inc_sec < cost.sec_inc) cost.sec_inc = inc_sec;
+    cost.pins_full = full_pins;
+    cost.pins_inc = inc_pins;
   }
 
-  std::printf("single-edit loop (%d resizes, %zu pins each full pass):\n",
-              kEdits, d.netlist->num_pins());
-  std::printf("  full      : %8.3f ms, %12llu pin updates\n", 1e3 * sec_full,
-              static_cast<unsigned long long>(pins_full));
-  std::printf("  increment : %8.3f ms, %12llu pin updates\n", 1e3 * sec_inc,
-              static_cast<unsigned long long>(pins_inc));
+  std::printf("single-edit loop (%d resizes, %zu pins each full pass, "
+              "best of %d):\n",
+              kEdits, d.netlist->num_pins(), repeats);
+  std::printf("  full      : %8.3f ms, %12llu pin updates\n",
+              1e3 * cost.sec_full,
+              static_cast<unsigned long long>(cost.pins_full));
+  std::printf("  increment : %8.3f ms, %12llu pin updates\n",
+              1e3 * cost.sec_inc,
+              static_cast<unsigned long long>(cost.pins_inc));
   std::printf("  speedup %.2fx, pin-update reduction %.2fx\n\n",
-              sec_full / sec_inc,
-              static_cast<double>(pins_full) / static_cast<double>(pins_inc));
+              cost.sec_full / cost.sec_inc,
+              static_cast<double>(cost.pins_full) /
+                  static_cast<double>(cost.pins_inc));
   return cost;
 }
 
@@ -134,9 +140,9 @@ int main(int argc, char** argv) {
               d.netlist->num_real_cells(), d.netlist->num_pins(),
               d.clock_period);
 
-  EditCost edits = measure_single_edits(d);
-
   const int kRepeats = 3;
+  EditCost edits = measure_single_edits(d, kRepeats);
+
   FlowCost full = measure_flow(d, /*incremental=*/false, kRepeats);
   FlowCost inc = measure_flow(d, /*incremental=*/true, kRepeats);
 

@@ -60,7 +60,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "train.iterations_degraded",
     "train.iterations_failed",
     "train.resumes",
-    "train.rollbacks",
     "train.rollouts_cancelled",
     "train.trajectories_poisoned",
     "train.worker_kills",

@@ -3,7 +3,7 @@
 // total time went into sizing"; the trace answers "where did the wall-clock
 // go on this specific iteration" — it records every span open/close as one
 // Chrome-trace complete event ("ph":"X") plus explicit instant events
-// ("ph":"i") at interesting moments (checkpoint written, rollback,
+// ("ph":"i") at interesting moments (checkpoint written, iteration dropped,
 // trajectory poisoned), and exports the whole timeline as Chrome-trace JSON
 // that chrome://tracing and Perfetto load directly.
 //

@@ -9,8 +9,8 @@
 namespace rlccd {
 
 namespace {
+
 constexpr char kMagic[8] = {'R', 'L', 'C', 'C', 'D', 'N', 'N', '1'};
-}  // namespace
 
 void append_parameters(const std::vector<Tensor>& params, std::string& out) {
   ipc_append_pod(out, static_cast<std::uint64_t>(params.size()));
@@ -56,6 +56,8 @@ Status parse_parameters(std::vector<Tensor>& params, const std::string& bytes,
   }
   return Status();
 }
+
+}  // namespace
 
 Status save_parameters(const std::vector<Tensor>& params,
                        const std::string& path) {

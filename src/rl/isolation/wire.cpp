@@ -93,51 +93,52 @@ Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
 
 }  // namespace
 
-void encode_rollout_wire(const RolloutWire& wire, std::string& out) {
+void encode_rollout_wire(const WorkerRollout& rollout,
+                         const TelemetrySnapshot& telemetry, std::string& out) {
   out.clear();
-  ipc_append_pod(out, RolloutWire::kVersion);
-  append_eval_outcome(out, wire.outcome);
-  ipc_append_pod(out, wire.steps);
-  ipc_append_pod(out, static_cast<std::uint8_t>(wire.poisoned));
-  ipc_append_pod(out, static_cast<std::uint32_t>(wire.selection.size()));
-  for (PinId pin : wire.selection) ipc_append_pod(out, pin.value);
-  ipc_append_pod(out, static_cast<std::uint32_t>(wire.grads.size()));
-  for (const std::vector<float>& g : wire.grads) ipc_append_float_vec(out, g);
-  append_audit(out, wire.audit);
-  append_telemetry_snapshot(out, wire.telemetry);
+  ipc_append_pod(out, kRolloutWireVersion);
+  append_eval_outcome(out, rollout.outcome);
+  ipc_append_pod(out, rollout.steps);
+  ipc_append_pod(out, static_cast<std::uint8_t>(rollout.poisoned));
+  ipc_append_pod(out, static_cast<std::uint32_t>(rollout.selection.size()));
+  for (PinId pin : rollout.selection) ipc_append_pod(out, pin.value);
+  ipc_append_pod(out, static_cast<std::uint32_t>(rollout.grads.size()));
+  for (const auto& g : rollout.grads) ipc_append_float_vec(out, g);
+  append_audit(out, rollout.audit);
+  append_telemetry_snapshot(out, telemetry);
 }
 
-Status decode_rollout_wire(std::string_view bytes, RolloutWire& out) {
+Status decode_rollout_wire(std::string_view bytes, WorkerRollout& rollout,
+                           TelemetrySnapshot& telemetry) {
   std::size_t offset = 0;
   std::uint8_t version = 0;
   RLCCD_TRY(ipc_parse_pod(bytes, offset, version, "wire version"));
-  if (version != RolloutWire::kVersion) {
+  if (version != kRolloutWireVersion) {
     return Status::corrupt("rollout wire version %u, expected %u", version,
-                           RolloutWire::kVersion);
+                           kRolloutWireVersion);
   }
-  RLCCD_TRY(parse_eval_outcome(bytes, offset, out.outcome));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.steps, "steps"));
+  RLCCD_TRY(parse_eval_outcome(bytes, offset, rollout.outcome));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, rollout.steps, "steps"));
   std::uint8_t poisoned = 0;
   RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "poisoned"));
-  out.poisoned = poisoned != 0;
+  rollout.poisoned = poisoned != 0;
 
   std::uint32_t n_sel = 0;
   RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, "selection count"));
-  out.selection.resize(n_sel);
-  for (PinId& pin : out.selection) {
+  rollout.selection.resize(n_sel);
+  for (PinId& pin : rollout.selection) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
   }
 
   std::uint32_t n_grads = 0;
   RLCCD_TRY(ipc_parse_count(bytes, offset, n_grads, "gradient tensor count"));
-  out.grads.resize(n_grads);
-  for (std::vector<float>& g : out.grads) {
+  rollout.grads.resize(n_grads);
+  for (std::vector<float>& g : rollout.grads) {
     RLCCD_TRY(ipc_parse_float_vec(bytes, offset, g, "gradient tensor"));
   }
 
-  RLCCD_TRY(parse_audit(bytes, offset, out.audit));
-
-  RLCCD_TRY(parse_telemetry_snapshot(bytes, offset, out.telemetry));
+  RLCCD_TRY(parse_audit(bytes, offset, rollout.audit));
+  RLCCD_TRY(parse_telemetry_snapshot(bytes, offset, telemetry));
   if (offset != bytes.size()) {
     return Status::corrupt("rollout wire has %zu trailing bytes",
                            bytes.size() - offset);

@@ -1,16 +1,11 @@
-// Serialized form of one rollout worker's result, carried over the
-// supervisor pipe (rl/isolation/supervisor.h) from the forked child back to
-// the trainer.
-//
-// The wire carries exactly what the in-thread worker hands the trainer —
-// the EvalOutcome of the reward evaluation (the same struct the thread
-// backend receives from RolloutEvaluator), per-parameter gradients, the
-// decision-provenance audit —
-// plus the child's telemetry delta (counters, histograms and the span tree
-// recorded while the rollout ran), which the parent merge_delta()s into the
-// global registry so metrics agree with the thread backend. Encoding is
-// little-endian fixed-width via the common/ipc.h codec; a leading version
-// byte rejects frames from a mismatched binary.
+// One rollout worker's result, and its form on the supervisor pipe
+// (rl/isolation/supervisor.h). Both backends hand the trainer a
+// WorkerRollout: a worker thread fills it in place; an isolated child
+// encodes it, with its telemetry delta (counters, histograms, span tree)
+// beside it, and the parent decodes both and merge_delta()s the telemetry
+// so metrics agree with the thread backend. Encoding is little-endian
+// fixed-width via the common/ipc.h codec; a leading version byte rejects
+// frames from a mismatched binary.
 #pragma once
 
 #include <cstdint>
@@ -26,32 +21,31 @@
 
 namespace rlccd {
 
-struct RolloutWire {
-  // v2: tns/reward/flow_ran/cancelled folded into an embedded EvalOutcome
-  // (adds the state hash, hit provenance and the flow-cost skeleton).
-  // v3: counter_deltas + spans replaced by a full TelemetrySnapshot delta
-  // (adds gauges and histograms) using the shared common/telemetry_wire
-  // codec — the same byte layout ObsDelta frames carry.
-  // v4: the outcome carries only the summary, reward and status flags
-  // (state hash, hit provenance and flow-cost skeleton dropped).
-  static constexpr std::uint8_t kVersion = 4;
-
-  EvalOutcome outcome;
+struct WorkerRollout {
+  EvalOutcome outcome;     // reward evaluation
   std::int32_t steps = 0;
-  bool poisoned = false;
+  bool poisoned = false;   // non-finite logits/TNS/reward/gradients
+  // Set by the parent when an isolated worker's process was lost (restarts
+  // exhausted); never on the wire. The other fields keep their defaults.
+  bool crashed = false;
   std::vector<PinId> selection;
   std::vector<std::vector<float>> grads;  // per parameter
-  SelectionAudit audit;
-  // Telemetry recorded on the child's rollout thread (a TelemetryScope
-  // capture): counter/histogram deltas and the closed-span tree. The
-  // numeric telemetry rides *only* here — periodic kTelemetry frames from
-  // rollout children carry trace events alone, so nothing double-counts.
-  TelemetrySnapshot telemetry;
+  SelectionAudit audit;                   // decision provenance
+
+  // Whether this trajectory enters the gradient estimate and the stats.
+  [[nodiscard]] bool survived() const {
+    return !poisoned && !outcome.cancelled && !crashed;
+  }
 };
 
-void encode_rollout_wire(const RolloutWire& wire, std::string& out);
+// Bumped whenever the byte layout changes.
+inline constexpr std::uint8_t kRolloutWireVersion = 4;
+
+void encode_rollout_wire(const WorkerRollout& rollout,
+                         const TelemetrySnapshot& telemetry, std::string& out);
 // Rejects unknown versions and any truncated / overlong byte stream with a
 // corrupt Status.
-Status decode_rollout_wire(std::string_view bytes, RolloutWire& out);
+Status decode_rollout_wire(std::string_view bytes, WorkerRollout& rollout,
+                           TelemetrySnapshot& telemetry);
 
 }  // namespace rlccd

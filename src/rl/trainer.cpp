@@ -12,7 +12,6 @@
 #include "common/log.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "rl/isolation/supervisor.h"
 #include "rl/isolation/wire.h"
@@ -28,7 +27,6 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
       evaluator_(design, config_.flow) {
   RLCCD_EXPECTS(design != nullptr && policy != nullptr);
   RLCCD_EXPECTS(config.workers >= 1);
-  RLCCD_EXPECTS(config.rollback_after >= 1);
   // With isolated workers the reward flows run inside forked children:
   // a flow observer would fire against copy-on-write state and a parent
   // cancel token cannot see the child's clock (see FlowConfig docs).
@@ -39,12 +37,7 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
 
 FlowResult ReinforceTrainer::evaluate_selection(
     std::span<const PinId> selection) const {
-  return evaluate_selection(selection, nullptr);
-}
-
-FlowResult ReinforceTrainer::evaluate_selection(
-    std::span<const PinId> selection, const CancelToken* cancel) const {
-  return evaluator_.evaluate_full(selection, cancel);
+  return evaluator_.evaluate_full(selection, /*cancel=*/nullptr);
 }
 
 TrainStats ReinforceTrainer::train() {
@@ -67,7 +60,6 @@ TrainStats ReinforceTrainer::train() {
       reg.counter("train.rollouts_cancelled");
   static MetricsCounter& ctr_iter_failed =
       reg.counter("train.iterations_failed");
-  static MetricsCounter& ctr_rollbacks = reg.counter("train.rollbacks");
   static MetricsCounter& ctr_ckpt_skipped =
       reg.counter("train.checkpoints_skipped");
   static MetricsCounter& ctr_workers_lost = reg.counter("train.workers_lost");
@@ -84,7 +76,7 @@ TrainStats ReinforceTrainer::train() {
   int start_iter = 0;
 
   // Snapshots the full training state; `next_iter` is the first iteration a
-  // resumed (or rolled-back) loop would run.
+  // resumed loop would run.
   auto capture = [&](int next_iter) {
     TrainCheckpoint ckpt;
     ckpt.seed = config_.seed;
@@ -106,23 +98,8 @@ TrainStats ReinforceTrainer::train() {
     return ckpt;
   };
 
-  // Restores policy parameters, optimizer moments and loop state (but not
-  // TrainStats) from a snapshot with already-validated shapes.
-  auto restore_policy_state = [&](const TrainCheckpoint& ckpt) -> Status {
-    std::vector<Tensor> params = policy_->parameters();
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      std::memcpy(params[i].data(), ckpt.params[i].data(),
-                  ckpt.params[i].size() * sizeof(float));
-    }
-    RLCCD_TRY(optimizer.import_state(ckpt.adam));
-    root_rng.set_state(ckpt.rng_state);
-    baseline = ckpt.baseline;
-    baseline_init = ckpt.baseline_init;
-    stall = ckpt.stall;
-    return Status();
-  };
-
-  // Full resume: fingerprint + shape validation, then state + TrainStats.
+  // Resume: fingerprint + shape validation, then policy parameters,
+  // optimizer moments, loop state and TrainStats.
   auto restore_checkpoint = [&](const TrainCheckpoint& ckpt) -> Status {
     if (ckpt.seed != config_.seed ||
         ckpt.workers != config_.workers) {
@@ -148,7 +125,15 @@ TrainStats ReinforceTrainer::train() {
             params[i].rows(), params[i].cols());
       }
     }
-    RLCCD_TRY(restore_policy_state(ckpt));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      std::memcpy(params[i].data(), ckpt.params[i].data(),
+                  ckpt.params[i].size() * sizeof(float));
+    }
+    RLCCD_TRY(optimizer.import_state(ckpt.adam));
+    root_rng.set_state(ckpt.rng_state);
+    baseline = ckpt.baseline;
+    baseline_init = ckpt.baseline_init;
+    stall = ckpt.stall;
     stats = ckpt.stats;
     start_iter = ckpt.next_iter;
     return Status();
@@ -200,16 +185,6 @@ TrainStats ReinforceTrainer::train() {
   // greedy decode — goes through the evaluator with this normalization.
   evaluator_.set_reward_transform(stats.default_tns, reward_denom);
 
-  struct WorkerOut {
-    EvalOutcome outcome;   // reward evaluation
-    int steps = 0;
-    bool poisoned = false;  // non-finite logits/TNS/reward/gradients
-    bool crashed = false;   // isolated worker lost (restarts exhausted)
-    std::vector<PinId> selection;
-    std::vector<std::vector<float>> grads;  // per parameter
-    SelectionAudit audit;                   // decision provenance
-  };
-
   bool use_isolation = config_.isolate_workers;
   if (use_isolation && !RolloutSupervisor::supported()) {
     RLCCD_LOG_WARN(
@@ -217,11 +192,6 @@ TrainStats ReinforceTrainer::train() {
         "this platform; using the thread backend");
     use_isolation = false;
   }
-
-  // Last known-good state for in-memory rollback after repeated dropped
-  // iterations; refreshed after every successful parameter update.
-  TrainCheckpoint last_good = capture(start_iter);
-  int consecutive_failures = 0;
 
   bool run_cancelled = false;
   for (int iter = start_iter; iter < config_.max_iterations; ++iter) {
@@ -250,14 +220,14 @@ TrainStats ReinforceTrainer::train() {
     clones.reserve(static_cast<std::size_t>(config_.workers));
     for (int w = 0; w < config_.workers; ++w) clones.push_back(policy_->clone());
 
-    std::vector<WorkerOut> outs(static_cast<std::size_t>(config_.workers));
+    std::vector<WorkerRollout> outs(static_cast<std::size_t>(config_.workers));
 
     // Rollout body shared by both backends: decode, run the reward flow,
     // scale this clone's gradients. Runs on a worker thread, or (isolated)
     // inside a forked child. Forking the root RNG is pure (it never mutates
     // the root state), so checkpoints carry the same root RNG state on
     // both backends.
-    auto rollout_body = [&](int w, Policy& pol, WorkerOut& out,
+    auto rollout_body = [&](int w, Policy& pol, WorkerRollout& out,
                             const CancelToken* watchdog) {
       Rng rng = root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
                               static_cast<std::uint64_t>(w));
@@ -341,7 +311,7 @@ TrainStats ReinforceTrainer::train() {
             // spans the rollout records (they die with the child otherwise)
             // so the parent can re-apply them.
             TelemetryScope scope;
-            WorkerOut out;
+            WorkerRollout out;
             {
               RLCCD_SPAN("rollout");
               // Deterministic stall fault: parks the worker past its
@@ -350,30 +320,23 @@ TrainStats ReinforceTrainer::train() {
               rollout_body(w, clones[static_cast<std::size_t>(w)], out,
                            /*watchdog=*/nullptr);
             }
-            RolloutWire wire;
-            wire.outcome = out.outcome;
-            wire.steps = out.steps;
-            wire.poisoned = out.poisoned;
-            wire.selection = std::move(out.selection);
-            wire.grads = std::move(out.grads);
-            wire.audit = std::move(out.audit);
-            wire.telemetry = scope.snapshot();
             std::string payload;
-            encode_rollout_wire(wire, payload);
+            encode_rollout_wire(out, scope.snapshot(), payload);
             return payload;
           });
       for (int w = 0; w < config_.workers; ++w) {
-        WorkerOut& out = outs[static_cast<std::size_t>(w)];
+        WorkerRollout& out = outs[static_cast<std::size_t>(w)];
         WorkerOutcome& oc = outcomes[static_cast<std::size_t>(w)];
-        RolloutWire wire;
+        TelemetrySnapshot telemetry;
         Status ds =
             oc.completed
-                ? decode_rollout_wire(oc.payload, wire)
+                ? decode_rollout_wire(oc.payload, out, telemetry)
                 : Status::io_error("worker process lost after %d attempts "
                                    "(last failure: %s)",
                                    oc.attempts,
                                    worker_failure_name(oc.last_failure));
         if (!ds.ok()) {
+          out = WorkerRollout();  // drop whatever a bad frame half-decoded
           out.crashed = true;
           ++n_crashed;
           ctr_workers_lost.increment();
@@ -382,15 +345,9 @@ TrainStats ReinforceTrainer::train() {
                          ds.to_string().c_str());
           continue;
         }
-        out.outcome = wire.outcome;
-        out.steps = wire.steps;
-        out.poisoned = wire.poisoned;
-        out.selection = std::move(wire.selection);
-        out.grads = std::move(wire.grads);
-        out.audit = std::move(wire.audit);
         // Re-apply what the child's rollout recorded, so global counters,
         // histograms and span trees agree with the thread backend.
-        reg.merge_delta(wire.telemetry);
+        reg.merge_delta(telemetry);
       }
       if (n_crashed > 0) {
         ctr_iter_degraded.increment();
@@ -422,7 +379,7 @@ TrainStats ReinforceTrainer::train() {
     // thread (sinks need no locking).
     if (config_.audit != nullptr) {
       for (int w = 0; w < config_.workers; ++w) {
-        const WorkerOut& out = outs[static_cast<std::size_t>(w)];
+        const WorkerRollout& out = outs[static_cast<std::size_t>(w)];
         RolloutAuditRecord rec;
         rec.iteration = iter;
         rec.worker = w;
@@ -440,11 +397,11 @@ TrainStats ReinforceTrainer::train() {
     int survivors = 0;
     int n_poisoned = 0;
     int n_cancelled = 0;
-    for (const WorkerOut& out : outs) {
+    for (const WorkerRollout& out : outs) {
       if (out.outcome.flow_ran) ++stats.flow_runs;
       if (out.poisoned) ++n_poisoned;
       if (out.outcome.cancelled) ++n_cancelled;
-      if (!out.poisoned && !out.outcome.cancelled && !out.crashed) ++survivors;
+      if (out.survived()) ++survivors;
     }
 
     const double iter_seconds_so_far =
@@ -452,27 +409,12 @@ TrainStats ReinforceTrainer::train() {
                                       t_iter)
             .count();
     if (survivors == 0) {
-      // Every trajectory failed: drop the iteration (no parameter update,
-      // no history entry) and, after repeated failures, roll the policy and
-      // optimizer back to the last known-good state.
-      ++consecutive_failures;
+      // Every trajectory failed: drop the iteration. Nothing of the
+      // training state has changed (workers decode on clones, the optimizer
+      // and baseline only move below, Rng::fork never advances the root), so
+      // the next iteration starts from the last update's state.
       ctr_iter_failed.increment();
       RLCCD_TRACE_INSTANT("train.iteration_dropped");
-      bool rolled_back = false;
-      if (consecutive_failures >= config_.rollback_after) {
-        Status rs = restore_policy_state(last_good);
-        if (rs.ok()) {
-          rolled_back = true;
-          consecutive_failures = 0;
-          ctr_rollbacks.increment();
-          RLCCD_TRACE_INSTANT("train.rollback");
-          RLCCD_LOG_WARN(
-              "iter %2d: rolled back to last good state (iteration %d)", iter,
-              last_good.next_iter);
-        } else {
-          RLCCD_LOG_ERROR("rollback failed: %s", rs.to_string().c_str());
-        }
-      }
       RLCCD_LOG_WARN(
           "iter %2d dropped: 0 of %d trajectories survived (%d poisoned, %d "
           "cancelled, %d crashed)",
@@ -482,8 +424,6 @@ TrainStats ReinforceTrainer::train() {
             {"poisoned", static_cast<double>(n_poisoned)},
             {"cancelled", static_cast<double>(n_cancelled)},
             {"crashed", static_cast<double>(n_crashed)},
-            {"consecutive_failures", static_cast<double>(consecutive_failures)},
-            {"rolled_back", rolled_back ? 1.0 : 0.0},
         };
         ProgressEvent event;
         event.phase = "train";
@@ -505,32 +445,22 @@ TrainStats ReinforceTrainer::train() {
       }
       continue;
     }
-    consecutive_failures = 0;
 
     // Merge surviving gradients into the master policy (fixed order =>
-    // deterministic). With no failures this is the plain 1/workers mean.
+    // deterministic; with no failures this is the plain 1/workers mean) and
+    // aggregate the iteration's stats over the same trajectories.
     optimizer.zero_grad();
     std::vector<Tensor> master = policy_->parameters();
     const float inv_w = 1.0f / static_cast<float>(survivors);
-    for (const WorkerOut& out : outs) {
-      if (out.poisoned || out.outcome.cancelled || out.crashed) continue;
+    IterationStats is;
+    double iter_best = -1e300;
+    for (const WorkerRollout& out : outs) {
+      if (!out.survived()) continue;
       for (std::size_t p = 0; p < master.size(); ++p) {
         std::vector<float>& g = master[p].grad_mut();
         const std::vector<float>& src = out.grads[p];
         for (std::size_t i = 0; i < g.size(); ++i) g[i] += src[i] * inv_w;
       }
-    }
-    const double grad_norm = clip_grad_norm(master, config_.grad_clip);
-    {
-      RLCCD_SPAN("adam_step");
-      optimizer.step();
-    }
-
-    // Iteration bookkeeping over the surviving trajectories.
-    IterationStats is;
-    double iter_best = -1e300;
-    for (const WorkerOut& out : outs) {
-      if (out.poisoned || out.outcome.cancelled || out.crashed) continue;
       const double tns = out.outcome.summary.tns;
       is.mean_reward += out.outcome.reward;
       is.mean_tns += tns;
@@ -542,6 +472,11 @@ TrainStats ReinforceTrainer::train() {
         stats.best_selection = out.selection;
         stall = -1;  // improvement this iteration
       }
+    }
+    const double grad_norm = clip_grad_norm(master, config_.grad_clip);
+    {
+      RLCCD_SPAN("adam_step");
+      optimizer.step();
     }
     const double n = static_cast<double>(survivors);
     is.mean_reward /= n;
@@ -607,11 +542,10 @@ TrainStats ReinforceTrainer::train() {
         "iter %2d: mean TNS %.3f best %.3f (default %.3f) mean |sel| %.1f",
         iter, is.mean_tns, stats.best_tns, stats.default_tns, is.mean_steps);
 
-    last_good = capture(iter + 1);
     if (!config_.checkpoint_dir.empty()) {
       const std::string path =
           checkpoint_path(config_.checkpoint_dir, stats.iterations);
-      Status s = save_checkpoint(last_good, path);
+      Status s = save_checkpoint(capture(iter + 1), path);
       if (s.ok()) {
         ctr_ckpt_written.increment();
         RLCCD_TRACE_INSTANT("train.checkpoint_written");

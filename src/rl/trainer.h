@@ -15,8 +15,8 @@
 // continues bit-identically from the newest valid one. Non-finite logits,
 // TNS, rewards or gradients poison only the affected trajectory; an
 // iteration with zero surviving trajectories is dropped (no parameter
-// update, no history entry), and `rollback_after` consecutive dropped
-// iterations restore the last known-good policy/optimizer state in memory.
+// update, no history entry) and leaves the training state exactly as the
+// last update left it, so the next iteration simply carries on.
 // `rollout_deadline_sec` arms a per-rollout watchdog: the placement flow
 // polls the deadline at pass boundaries and a stuck rollout is cancelled,
 // degrading the iteration to its surviving trajectories.
@@ -84,9 +84,6 @@ struct TrainConfig {
   // decode is skipped. TrainStats reflects the completed prefix. Not owned;
   // must outlive train(). Null disables.
   const CancelToken* cancel = nullptr;
-  // After this many consecutive dropped iterations, restore the last
-  // known-good policy/optimizer/baseline state before continuing.
-  int rollback_after = 2;
 
   // --- Process isolation (DESIGN.md Sec. 10) ---
   // Run each rollout in a forked child process supervised over a pipe
@@ -145,11 +142,8 @@ class ReinforceTrainer {
 
   // Runs the placement flow on a pristine copy with `selection`; returns
   // the full flow result (used for final reporting and by ablation benches
-  // that need pass-by-pass detail). The two-argument form threads a
-  // watchdog token into the flow.
+  // that need pass-by-pass detail).
   FlowResult evaluate_selection(std::span<const PinId> selection) const;
-  FlowResult evaluate_selection(std::span<const PinId> selection,
-                                const CancelToken* cancel) const;
 
   [[nodiscard]] const DesignGraph& graph() const { return graph_; }
 

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "common/contracts.h"
 #include "common/ids.h"
 
 namespace rlccd {
@@ -21,12 +20,6 @@ class ClockSchedule {
   explicit ClockSchedule(double period = 1.0) : period_(period) {}
 
   [[nodiscard]] double period() const { return period_; }
-  void set_period(double period) {
-    RLCCD_EXPECTS(period > 0.0);
-    if (period == period_) return;
-    period_ = period;
-    period_dirty_ = true;
-  }
 
   // Clock arrival adjustment at a flop's CK pin (ns, signed).
   [[nodiscard]] double adjustment(CellId flop) const {
@@ -66,15 +59,10 @@ class ClockSchedule {
   [[nodiscard]] const std::vector<CellId>& dirty_flops() const {
     return dirty_;
   }
-  [[nodiscard]] bool period_dirty() const { return period_dirty_; }
-  void ack_dirty() {
-    dirty_.clear();
-    period_dirty_ = false;
-  }
+  void ack_dirty() { dirty_.clear(); }
 
  private:
   double period_;
-  bool period_dirty_ = false;
   std::vector<double> adjustments_;  // indexed by CellId, default 0
   std::vector<CellId> dirty_;        // changed since last ack_dirty()
 };

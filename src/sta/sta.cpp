@@ -120,8 +120,7 @@ void Sta::update() {
     return;
   }
   const bool clock_dirty = !clock_.dirty_flops().empty();
-  if (pending.empty() && !clock_dirty && !clock_.period_dirty() &&
-      margin_dirty_.empty()) {
+  if (pending.empty() && !clock_dirty && margin_dirty_.empty()) {
     return;  // fully up to date
   }
   if (pending.size() > nl.num_cells()) {
@@ -468,18 +467,14 @@ void Sta::backward_incremental(std::span<const PinId> new_endpoints) {
   seen_epoch_ = ++epoch_;
   final_sources_.clear();
 
-  // Reseed endpoint required times whose inputs (period, skew, margin,
-  // setup time) may have changed.
-  if (clock_.period_dirty()) {
-    for (PinId ep : graph_.endpoints()) reseed_endpoint(ep, false);
-  } else {
-    for (PinId ep : margin_dirty_) reseed_endpoint(ep, false);
-    for (CellId f : clock_.dirty_flops()) {
-      reseed_endpoint(nl.cell(f).inputs[0], false);
-    }
-    for (CellId s : seeds_) {
-      if (nl.is_sequential(s)) reseed_endpoint(nl.cell(s).inputs[0], false);
-    }
+  // Reseed endpoint required times whose inputs (skew, margin, setup time)
+  // may have changed. The period is fixed at construction.
+  for (PinId ep : margin_dirty_) reseed_endpoint(ep, false);
+  for (CellId f : clock_.dirty_flops()) {
+    reseed_endpoint(nl.cell(f).inputs[0], false);
+  }
+  for (CellId s : seeds_) {
+    if (nl.is_sequential(s)) reseed_endpoint(nl.cell(s).inputs[0], false);
   }
   for (PinId ep : new_endpoints) reseed_endpoint(ep, true);
 

@@ -30,8 +30,15 @@ namespace {
 // Wire codec
 // ---------------------------------------------------------------------------
 
-RolloutWire sample_wire() {
-  RolloutWire w;
+// A worker result plus the telemetry delta that travels beside it.
+struct WireSample {
+  WorkerRollout rollout;
+  TelemetrySnapshot telemetry;
+};
+
+WireSample sample_wire() {
+  WireSample sample;
+  WorkerRollout& w = sample.rollout;
   w.outcome.summary.wns = -1.5;
   w.outcome.summary.tns = -12.5;
   w.outcome.summary.nve = 9;
@@ -53,23 +60,26 @@ RolloutWire sample_wire() {
   step.masked = {{9, 0.8125}, {13, 0.4375}};
   w.audit.steps = {step};
   w.audit.poisoned = false;
-  w.telemetry.counters = {{"flow.cancelled", 0}, {"sta.full_runs", 4}};
-  w.telemetry.gauges = {{"serve.queue_depth", 4096}};
+  TelemetrySnapshot& t = sample.telemetry;
+  t.counters = {{"flow.cancelled", 0}, {"sta.full_runs", 4}};
+  t.gauges = {{"serve.queue_depth", 4096}};
   MetricsHistogram::Snapshot h;
   h.merge_value(0.25, -2);
   h.merge_value(1.5, 1);
-  w.telemetry.histograms = {{"flow.seconds", h}};
-  w.telemetry.spans.name = "<root>";
-  SpanNode& rollout = w.telemetry.spans.child("rollout");
+  t.histograms = {{"flow.seconds", h}};
+  t.spans.name = "<root>";
+  SpanNode& rollout = t.spans.child("rollout");
   rollout.count = 1;
   rollout.total_sec = 0.25;
   SpanNode& flow = rollout.child("flow");
   flow.count = 1;
   flow.total_sec = 0.125;
-  return w;
+  return sample;
 }
 
-void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
+void expect_wire_equal(const WireSample& sa, const WireSample& sb) {
+  const WorkerRollout& a = sa.rollout;
+  const WorkerRollout& b = sb.rollout;
   EXPECT_EQ(a.outcome.summary.wns, b.outcome.summary.wns);
   EXPECT_EQ(a.outcome.summary.tns, b.outcome.summary.tns);
   EXPECT_EQ(a.outcome.summary.nve, b.outcome.summary.nve);
@@ -102,13 +112,15 @@ void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
       EXPECT_EQ(sa.masked[m].overlap, sb.masked[m].overlap);
     }
   }
-  EXPECT_EQ(a.telemetry.counters, b.telemetry.counters);
-  EXPECT_EQ(a.telemetry.gauges, b.telemetry.gauges);
-  ASSERT_EQ(a.telemetry.histograms.size(), b.telemetry.histograms.size());
-  for (std::size_t i = 0; i < a.telemetry.histograms.size(); ++i) {
-    EXPECT_EQ(a.telemetry.histograms[i].first, b.telemetry.histograms[i].first);
-    const MetricsHistogram::Snapshot& ha = a.telemetry.histograms[i].second;
-    const MetricsHistogram::Snapshot& hb = b.telemetry.histograms[i].second;
+  const TelemetrySnapshot& ta = sa.telemetry;
+  const TelemetrySnapshot& tb = sb.telemetry;
+  EXPECT_EQ(ta.counters, tb.counters);
+  EXPECT_EQ(ta.gauges, tb.gauges);
+  ASSERT_EQ(ta.histograms.size(), tb.histograms.size());
+  for (std::size_t i = 0; i < ta.histograms.size(); ++i) {
+    EXPECT_EQ(ta.histograms[i].first, tb.histograms[i].first);
+    const MetricsHistogram::Snapshot& ha = ta.histograms[i].second;
+    const MetricsHistogram::Snapshot& hb = tb.histograms[i].second;
     EXPECT_EQ(ha.count, hb.count);
     EXPECT_EQ(ha.sum, hb.sum);
     EXPECT_EQ(ha.min, hb.min);
@@ -116,8 +128,8 @@ void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
     EXPECT_EQ(ha.buckets, hb.buckets);
   }
   // Span tree: compare the one path the sample populates.
-  const SpanNode* ra = a.telemetry.spans.find("rollout/flow");
-  const SpanNode* rb = b.telemetry.spans.find("rollout/flow");
+  const SpanNode* ra = ta.spans.find("rollout/flow");
+  const SpanNode* rb = tb.spans.find("rollout/flow");
   ASSERT_NE(ra, nullptr);
   ASSERT_NE(rb, nullptr);
   EXPECT_EQ(ra->count, rb->count);
@@ -125,22 +137,24 @@ void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
 }
 
 TEST(RolloutWireCodec, RoundTripsEveryField) {
-  RolloutWire in = sample_wire();
+  WireSample in = sample_wire();
   std::string bytes;
-  encode_rollout_wire(in, bytes);
-  RolloutWire out;
-  ASSERT_TRUE(decode_rollout_wire(bytes, out).ok());
+  encode_rollout_wire(in.rollout, in.telemetry, bytes);
+  WireSample out;
+  ASSERT_TRUE(decode_rollout_wire(bytes, out.rollout, out.telemetry).ok());
   expect_wire_equal(out, in);
 }
 
 TEST(RolloutWireCodec, RejectsEveryTruncationPoint) {
   std::string bytes;
-  encode_rollout_wire(sample_wire(), bytes);
+  const WireSample sample = sample_wire();
+  encode_rollout_wire(sample.rollout, sample.telemetry, bytes);
   // A frame cut anywhere — byte-granular over the whole payload — must be
   // rejected, never mis-decoded or crashed on.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    RolloutWire out;
-    Status s = decode_rollout_wire(std::string_view(bytes).substr(0, cut), out);
+    WireSample out;
+    Status s = decode_rollout_wire(std::string_view(bytes).substr(0, cut),
+                                   out.rollout, out.telemetry);
     ASSERT_FALSE(s.ok()) << "cut at byte " << cut;
     EXPECT_EQ(s.code(), StatusCode::kCorrupt) << "cut at byte " << cut;
   }
@@ -148,15 +162,17 @@ TEST(RolloutWireCodec, RejectsEveryTruncationPoint) {
 
 TEST(RolloutWireCodec, RejectsVersionMismatchAndTrailingBytes) {
   std::string bytes;
-  encode_rollout_wire(sample_wire(), bytes);
+  const WireSample sample = sample_wire();
+  encode_rollout_wire(sample.rollout, sample.telemetry, bytes);
 
   std::string wrong_version = bytes;
-  wrong_version[0] = static_cast<char>(RolloutWire::kVersion + 1);
-  RolloutWire out;
-  EXPECT_FALSE(decode_rollout_wire(wrong_version, out).ok());
+  wrong_version[0] = static_cast<char>(kRolloutWireVersion + 1);
+  WireSample out;
+  EXPECT_FALSE(
+      decode_rollout_wire(wrong_version, out.rollout, out.telemetry).ok());
 
   std::string overlong = bytes + '\0';
-  EXPECT_FALSE(decode_rollout_wire(overlong, out).ok())
+  EXPECT_FALSE(decode_rollout_wire(overlong, out.rollout, out.telemetry).ok())
       << "trailing bytes mean the stream is not what the encoder produced";
 }
 
