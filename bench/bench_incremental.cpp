@@ -1,14 +1,17 @@
 // Incremental-STA benchmark: the placement flow run with the dirty-frontier
 // update() engine versus the same flow forced to full recomputes
 // (StaConfig::incremental = false). Reports wall-clock speedup and the
-// reduction in propagated pin updates (the engine's work metric).
+// reduction in propagated pin updates (the engine's work metric). The
+// single-edit ratio is a median of paired samples of at least 20 ms each.
 //
 // Also measures the flight-recorder tax: the same incremental flow with the
 // trace ring enabled, which must stay within ~2% of the untraced run.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/trace.h"
 #include "core/rlccd.h"
@@ -47,11 +50,17 @@ FlowCost measure_flow(const Design& d, bool incremental, int repeats) {
 }
 
 struct EditCost {
-  double sec_full = 0.0;
+  double sec_full = 0.0;  // median sample, seconds per pass
   double sec_inc = 0.0;
+  double speedup = 0.0;   // median of the paired samples' ratios
   std::uint64_t pins_full = 0;
   std::uint64_t pins_inc = 0;
 };
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 // One timed pass of the single-edit loop on a fresh copy of the design;
 // returns (seconds, pin updates).
@@ -85,33 +94,62 @@ std::pair<double, std::uint64_t> run_edit_loop(const Design& d,
   return {sec, sta.stats().pin_updates()};
 }
 
+// One timing sample of the single-edit loop: whole passes until at least
+// kMinSampleSec of loop time has accumulated, so scheduler noise stays small
+// beside it (one incremental pass is only ~2 ms). Returns the mean seconds
+// per pass and one pass's pin updates (identical in every pass).
+constexpr double kMinSampleSec = 0.02;
+
+std::pair<double, std::uint64_t> sample_edit_loop(const Design& d,
+                                                  bool incremental,
+                                                  int edits) {
+  double total = 0.0;
+  int passes = 0;
+  std::uint64_t pins = 0;
+  while (total < kMinSampleSec) {
+    const auto [sec, pass_pins] = run_edit_loop(d, incremental, edits);
+    total += sec;
+    pins = pass_pins;
+    ++passes;
+  }
+  return {total / passes, pins};
+}
+
 // Mutation-level comparison: repeated single-cell resizes, re-analyzed after
 // each edit — the access pattern of every greedy optimization loop. Each
-// mode keeps its best time over `repeats` interleaved passes; the pin-update
+// repeat times a full sample and then an incremental one back to back; the
+// speedup is the median of the repeats' ratios, so a host that slows down
+// between repeats moves both halves of a pair together. The pin-update
 // counts are deterministic.
 EditCost measure_single_edits(const Design& d, int repeats) {
   const int kEdits = 200;
   EditCost cost;
+  std::vector<double> full, inc, ratio;
   for (int r = 0; r < repeats; ++r) {
-    const auto [full_sec, full_pins] = run_edit_loop(d, false, kEdits);
-    const auto [inc_sec, inc_pins] = run_edit_loop(d, true, kEdits);
-    if (r == 0 || full_sec < cost.sec_full) cost.sec_full = full_sec;
-    if (r == 0 || inc_sec < cost.sec_inc) cost.sec_inc = inc_sec;
+    const auto [full_sec, full_pins] = sample_edit_loop(d, false, kEdits);
+    const auto [inc_sec, inc_pins] = sample_edit_loop(d, true, kEdits);
+    full.push_back(full_sec);
+    inc.push_back(inc_sec);
+    ratio.push_back(full_sec / inc_sec);
     cost.pins_full = full_pins;
     cost.pins_inc = inc_pins;
   }
+  cost.sec_full = median(full);
+  cost.sec_inc = median(inc);
+  cost.speedup = median(ratio);
 
   std::printf("single-edit loop (%d resizes, %zu pins each full pass, "
-              "best of %d):\n",
-              kEdits, d.netlist->num_pins(), repeats);
+              "per pass, median of %d samples of >= %.0f ms):\n",
+              kEdits, d.netlist->num_pins(), repeats, 1e3 * kMinSampleSec);
   std::printf("  full      : %8.3f ms, %12llu pin updates\n",
               1e3 * cost.sec_full,
               static_cast<unsigned long long>(cost.pins_full));
   std::printf("  increment : %8.3f ms, %12llu pin updates\n",
               1e3 * cost.sec_inc,
               static_cast<unsigned long long>(cost.pins_inc));
-  std::printf("  speedup %.2fx, pin-update reduction %.2fx\n\n",
-              cost.sec_full / cost.sec_inc,
+  std::printf("  speedup %.2fx (median paired ratio), pin-update reduction "
+              "%.2fx\n\n",
+              cost.speedup,
               static_cast<double>(cost.pins_full) /
                   static_cast<double>(cost.pins_inc));
   return cost;
@@ -141,7 +179,7 @@ int main(int argc, char** argv) {
               d.clock_period);
 
   const int kRepeats = 3;
-  EditCost edits = measure_single_edits(d, kRepeats);
+  EditCost edits = measure_single_edits(d, /*repeats=*/5);
 
   FlowCost full = measure_flow(d, /*incremental=*/false, kRepeats);
   FlowCost inc = measure_flow(d, /*incremental=*/true, kRepeats);
@@ -179,7 +217,7 @@ int main(int argc, char** argv) {
     const std::pair<const char*, double> metrics[] = {
         {"single_edit_full_ms", 1e3 * edits.sec_full},
         {"single_edit_inc_ms", 1e3 * edits.sec_inc},
-        {"single_edit_speedup", edits.sec_full / edits.sec_inc},
+        {"single_edit_speedup", edits.speedup},
         {"single_edit_pin_reduction",
          static_cast<double>(edits.pins_full) /
              static_cast<double>(edits.pins_inc)},

@@ -22,6 +22,7 @@ namespace rlccd {
 
 inline constexpr std::string_view kCounterNames[] = {
     "flow.cancelled",
+    "gnn.encode_rows",
     "opt.buffering.inserted",
     "opt.hold_fix.buffers",
     "opt.restructure.swaps",

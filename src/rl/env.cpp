@@ -14,6 +14,7 @@ void SelectionEnv::reset() {
   valid_.assign(n, 1);
   masked_or_selected_.assign(n, 0);
   selected_.clear();
+  last_flagged_.clear();
   num_valid_ = n;
 }
 
@@ -25,6 +26,7 @@ int SelectionEnv::step(std::size_t index,
   masked_or_selected_[index] = 1;
   --num_valid_;
   selected_.push_back(index);
+  last_flagged_.assign(1, index);
 
   int masked = 0;
   const ConeIndex& cones = graph_->cones();
@@ -34,6 +36,7 @@ int SelectionEnv::step(std::size_t index,
     if (overlap > rho_) {
       valid_[j] = 0;
       masked_or_selected_[j] = 1;
+      last_flagged_.push_back(j);
       --num_valid_;
       ++masked;
       if (masked_out != nullptr) {

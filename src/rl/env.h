@@ -40,6 +40,12 @@ class SelectionEnv {
   // Per-cell "RL masked" flags (Table I column 0): owner cells of selected
   // or masked endpoints.
   [[nodiscard]] std::vector<char> cell_mask_flags() const;
+  // Endpoints the last step() flagged: the selected one, then the ones it
+  // masked. Their owner cells are the cells that step added to
+  // cell_mask_flags(). Empty after reset().
+  [[nodiscard]] const std::vector<std::size_t>& last_flagged() const {
+    return last_flagged_;
+  }
 
  private:
   const DesignGraph* graph_;
@@ -47,6 +53,7 @@ class SelectionEnv {
   std::vector<char> valid_;
   std::vector<char> masked_or_selected_;
   std::vector<std::size_t> selected_;
+  std::vector<std::size_t> last_flagged_;
   std::size_t num_valid_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/fault.h"
 #include "common/telemetry.h"
@@ -69,15 +70,32 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
 
   LSTMCell::State state = lstm_.zero_state();
   Tensor prev_embedding = Tensor::zeros(1, config_.gnn.embedding);
+  // Inference re-encodes only the rows the last step's flags change; the
+  // differentiable modes run the autograd forward on the whole design.
+  std::optional<EpGnn::Incremental> incremental;
+  if (mode == RolloutMode::Inference) {
+    incremental.emplace(gnn_, graph.adjacency(), graph.cone_matrix(),
+                        graph.endpoint_rows());
+  }
 
   while (!env.done()) {
     // 1. EP-GNN encoding with the current masked flags (Alg. 1 line 6).
     Tensor f_ep;
     {
       RLCCD_SPAN("gnn_encode");
-      Tensor x = graph.features_with_mask(env.cell_mask_flags());
-      f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
-                          graph.endpoint_rows());
+      if (!incremental) {
+        Tensor x = graph.features_with_mask(env.cell_mask_flags());
+        f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
+                            graph.endpoint_rows());
+      } else {
+        if (incremental->encoded()) {
+          incremental->flag_endpoints(env.last_flagged());
+        } else {
+          incremental->encode(
+              graph.features_with_mask(env.cell_mask_flags()));
+        }
+        f_ep = incremental->embeddings();
+      }
     }
 
     // 2. LSTM query from the previous action's embedding (Alg. 1 lines 7-8).

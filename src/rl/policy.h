@@ -2,7 +2,8 @@
 // past-action encoder (Eq. 4) and pointer-style attention decoder
 // (Eqs. 5-6). One rollout = one full endpoint-selection trajectory with the
 // EP-GNN re-run every step (the RL-masked feature changes after each
-// overlap-masking action, paper Sec. III-B.1).
+// overlap-masking action, paper Sec. III-B.1); inference rollouts re-run
+// only the rows that change.
 #pragma once
 
 #include <vector>
@@ -49,8 +50,10 @@ class Policy {
     StepwiseBackward,
     // No gradients at all: the rollout runs under a NoGradScope, so no op
     // records a graph and each intermediate is freed as soon as its consumer
-    // has run. Values are bit-equal to the other modes. For greedy decoding
-    // / evaluation rollouts.
+    // has run, and the EP-GNN encode is EpGnn::Incremental: after the first
+    // step it recomputes only the rows the step's mask flags change. Values
+    // are bit-equal to the other modes. For greedy decoding / evaluation
+    // rollouts.
     Inference,
   };
 
@@ -71,6 +74,8 @@ class Policy {
   [[nodiscard]] std::vector<Tensor> gnn_parameters() const {
     return gnn_.parameters();
   }
+  // The EP-GNN itself (tests compare its two forwards on this policy).
+  [[nodiscard]] const EpGnn& gnn() const { return gnn_; }
 
   // Structural copy with identical parameter values (per-worker clones).
   [[nodiscard]] Policy clone() const;

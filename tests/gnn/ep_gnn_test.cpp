@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "gnn/features.h"
 #include "nn/optim.h"
 
 namespace rlccd {
@@ -108,6 +111,143 @@ TEST(EpGnn, CanOverfitATinyRegressionTarget) {
     opt.step();
   }
   EXPECT_LT(last_loss, 0.3 * first_loss);
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// A random graph with isolated cells (empty adjacency rows), endpoints that
+// share an owner cell, and features with exact zeros (matmul's skip path).
+struct RandomGraph {
+  static constexpr std::size_t kCells = 300;
+  static constexpr std::size_t kEndpoints = 40;
+  SparseOperand adj;
+  SparseOperand cones;
+  std::vector<std::size_t> ep_rows;
+  Tensor x;
+
+  explicit RandomGraph(std::uint64_t seed)
+      : adj(make_adj(seed)), cones(make_cones(seed)) {
+    Rng rng(seed + 2);
+    // Endpoints 0 and 1 share cell 7; endpoint 2 owns isolated cell 299.
+    ep_rows = {7, 7, kCells - 1};
+    while (ep_rows.size() < kEndpoints) {
+      ep_rows.push_back(rng.uniform_int(kCells));
+    }
+    std::vector<float> data(kCells * 13);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = i % 13 == kMaskedFeature || rng.uniform() < 0.2
+                    ? 0.0f
+                    : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    x = Tensor::from_data(std::move(data), kCells, 13);
+  }
+
+  static SparseMatrix make_adj(std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<SparseMatrix::Triplet> t;
+    std::vector<std::uint32_t> degree(kCells, 0);
+    for (int i = 0; i < 500; ++i) {
+      // Cells >= 280 stay isolated.
+      const auto a = static_cast<std::uint32_t>(rng.uniform_int(280));
+      const auto b = static_cast<std::uint32_t>(rng.uniform_int(280));
+      if (a == b) continue;
+      t.push_back({a, b, 1.0f});
+      t.push_back({b, a, 1.0f});
+      ++degree[a];
+      ++degree[b];
+    }
+    for (SparseMatrix::Triplet& tr : t) {
+      tr.value = 1.0f / static_cast<float>(degree[tr.row]);
+    }
+    return SparseMatrix::from_triplets(kCells, kCells, std::move(t));
+  }
+
+  static SparseMatrix make_cones(std::uint64_t seed) {
+    Rng rng(seed + 1);
+    std::vector<SparseMatrix::Triplet> t;
+    for (std::uint32_t e = 0; e < kEndpoints; ++e) {
+      const int size = static_cast<int>(rng.uniform_int(12));
+      for (int i = 0; i < size; ++i) {
+        t.push_back({e, static_cast<std::uint32_t>(rng.uniform_int(kCells)),
+                     1.0f});
+      }
+    }
+    return SparseMatrix::from_triplets(kEndpoints, kCells, std::move(t));
+  }
+};
+
+TEST(EpGnn, IncrementalEncodeIsBitEqualToForwardOnTinyGraph) {
+  TinyGraph g;
+  Rng rng(7);
+  EpGnn gnn(EpGnnConfig{}, rng);
+  EpGnn::Incremental inc(gnn, g.adj, g.cones, g.ep_rows);
+  inc.encode(g.x.detach_copy());
+  EXPECT_EQ(inc.last_rows(), 4u * 3 + 2);
+  EXPECT_TRUE(bit_equal(inc.embeddings(),
+                        gnn.forward(g.x, g.adj, g.cones, g.ep_rows)));
+
+  // Endpoint 1's owner is cell 0; one hop reaches cell 1, two reach 2,
+  // three reach 3. Its flag flips column 0 of x from -0.3 to 1.
+  inc.flag_endpoints({1});
+  Tensor x = g.x.detach_copy();
+  x.set(0, kMaskedFeature, 1.0f);
+  EXPECT_EQ(inc.last_rows(), 2u + 3 + 4 + 2);
+  EXPECT_TRUE(bit_equal(inc.embeddings(),
+                        gnn.forward(x, g.adj, g.cones, g.ep_rows)));
+
+  // Flagging it again flips nothing and recomputes nothing.
+  inc.flag_endpoints({1});
+  EXPECT_EQ(inc.last_rows(), 0u);
+  EXPECT_TRUE(bit_equal(inc.embeddings(),
+                        gnn.forward(x, g.adj, g.cones, g.ep_rows)));
+}
+
+TEST(EpGnn, IncrementalEncodeIsBitEqualToForwardAfterEveryFlag) {
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    RandomGraph g(seed);
+    Rng rng(seed);
+    EpGnn gnn(EpGnnConfig{}, rng);
+    // Every parameter away from its initialisation (zero biases, gates at
+    // 0.5), so bias adds, gamma and 1 - gamma all round.
+    Rng init(seed + 4);
+    for (Tensor& p : gnn.parameters()) {
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        p.data()[i] = static_cast<float>(init.uniform(-0.8, 0.8));
+      }
+    }
+    Tensor x = g.x.detach_copy();
+    EpGnn::Incremental inc(gnn, g.adj, g.cones, g.ep_rows);
+    inc.encode(x.detach_copy());
+    ASSERT_TRUE(bit_equal(inc.embeddings(),
+                          gnn.forward(x, g.adj, g.cones, g.ep_rows)));
+
+    // Shared owner cell, isolated cell, then random batches with repeats.
+    std::vector<std::vector<std::size_t>> steps = {{0}, {1}, {2}, {2, 1}};
+    Rng pick(seed + 3);
+    for (int s = 0; s < 12; ++s) {
+      std::vector<std::size_t> batch;
+      const int size = 1 + static_cast<int>(pick.uniform_int(4));
+      for (int i = 0; i < size; ++i) {
+        batch.push_back(pick.uniform_int(RandomGraph::kEndpoints));
+      }
+      steps.push_back(batch);
+    }
+    for (const std::vector<std::size_t>& batch : steps) {
+      bool flips = false;
+      for (std::size_t e : batch) {
+        flips |= x.at(g.ep_rows[e], kMaskedFeature) != 1.0f;
+        x.set(g.ep_rows[e], kMaskedFeature, 1.0f);
+      }
+      inc.flag_endpoints(batch);
+      EXPECT_EQ(inc.last_rows() > 0, flips) << "seed " << seed;
+      ASSERT_TRUE(bit_equal(inc.embeddings(),
+                            gnn.forward(x, g.adj, g.cones, g.ep_rows)))
+          << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -105,12 +105,33 @@ TEST(SelectionEnv, CellMaskFlagsTrackSelectionAndMasking) {
   EXPECT_GE(flagged, 1u);
 }
 
+TEST(SelectionEnv, LastFlaggedOwnersAccumulateToCellMaskFlags) {
+  Fixture f;
+  SelectionEnv env(&f.graph, 0.3);
+  std::vector<char> accumulated(f.design.netlist->num_cells(), 0);
+  Rng rng(3);
+  while (!env.done()) {
+    std::vector<std::size_t> valid;
+    for (std::size_t i = 0; i < env.valid().size(); ++i) {
+      if (env.valid()[i]) valid.push_back(i);
+    }
+    const std::size_t action = valid[rng.uniform_int(valid.size())];
+    const int masked = env.step(action);
+    const std::vector<std::size_t>& flagged = env.last_flagged();
+    ASSERT_EQ(flagged.size(), static_cast<std::size_t>(masked) + 1);
+    EXPECT_EQ(flagged.front(), action);
+    for (std::size_t e : flagged) accumulated[f.graph.endpoint_rows()[e]] = 1;
+    ASSERT_EQ(accumulated, env.cell_mask_flags());
+  }
+}
+
 TEST(SelectionEnv, ResetRestoresInitialState) {
   Fixture f;
   SelectionEnv env(&f.graph, 0.3);
   env.step(0);
   env.reset();
   EXPECT_TRUE(env.selected().empty());
+  EXPECT_TRUE(env.last_flagged().empty());
   for (char v : env.valid()) EXPECT_EQ(v, 1);
 }
 

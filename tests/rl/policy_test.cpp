@@ -5,6 +5,8 @@
 #include <cstring>
 #include <thread>
 
+#include "common/telemetry.h"
+
 namespace rlccd {
 namespace {
 
@@ -168,6 +170,121 @@ TEST(Policy, GreedyInferenceIsBitEqualOnColdAndWarmPoolsAndToStepwise) {
             0);
   EXPECT_EQ(std::memcmp(&cold.log_prob_value, &stepwise.log_prob_value,
                         sizeof(double)),
+            0);
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Replays `actions` on a fresh env with the encoder inference rollouts use,
+// and checks before every step that its embeddings equal the autograd
+// forward on the full masked feature matrix, bit for bit. Generated designs
+// own one endpoint per cell, so no real step flags an already-flagged cell;
+// each step's endpoints are flagged a second time to cover that case.
+// Returns the rows the encoder computed.
+std::uint64_t replay_against_full_forward(
+    const Policy& policy, const DesignGraph& graph,
+    const std::vector<std::size_t>& actions) {
+  const NoGradScope no_grad;
+  SelectionEnv env(&graph, 0.3);
+  EpGnn::Incremental inc(policy.gnn(), graph.adjacency(), graph.cone_matrix(),
+                         graph.endpoint_rows());
+  std::uint64_t rows = 0;
+  for (std::size_t t = 0; t < actions.size(); ++t) {
+    const std::vector<char> flags = env.cell_mask_flags();
+    if (t == 0) {
+      inc.encode(graph.features_with_mask(flags));
+    } else {
+      inc.flag_endpoints(env.last_flagged());
+    }
+    rows += inc.last_rows();
+    const Tensor full = policy.gnn().forward(
+        graph.features_with_mask(flags), graph.adjacency(),
+        graph.cone_matrix(), graph.endpoint_rows());
+    EXPECT_TRUE(bit_equal(inc.embeddings(), full)) << "step " << t;
+    if (t > 0) {
+      inc.flag_endpoints(env.last_flagged());
+      EXPECT_EQ(inc.last_rows(), 0u) << "step " << t;
+      EXPECT_TRUE(bit_equal(inc.embeddings(), full)) << "step " << t;
+    }
+    env.step(actions[t]);
+  }
+  return rows;
+}
+
+TEST(Policy, GreedyInferenceIncrementalEncodeMatchesFullEveryStep) {
+  MetricsCounter& encode_rows =
+      MetricsRegistry::global().counter("gnn.encode_rows");
+  bool empty_adjacency_row = false;
+  for (std::uint64_t seed : {81u, 82u, 83u}) {
+    GeneratorConfig cfg;
+    cfg.target_cells = 800;
+    cfg.seed = seed;
+    cfg.clock_tightness = 0.75;
+    const Design design = generate_design(cfg);
+    const DesignGraph graph(design);
+    const SparseMatrix& adj = graph.adjacency().matrix;
+    for (std::size_t r = 0; r < adj.rows; ++r) {
+      empty_adjacency_row |= adj.row_ptr[r] == adj.row_ptr[r + 1];
+    }
+    const Policy policy(PolicyConfig{}, seed);
+
+    for (bool greedy : {true, false}) {
+      auto decode = [&](Policy::RolloutMode mode) {
+        SelectionEnv env(&graph, 0.3);
+        Rng rng(seed + 100);
+        return policy.rollout(graph, env, rng, greedy, mode);
+      };
+      const std::uint64_t before = encode_rows.value();
+      const Policy::RolloutResult r = decode(Policy::RolloutMode::Inference);
+      const std::uint64_t rows = encode_rows.value() - before;
+      ASSERT_GE(r.steps, 2) << "seed " << seed;
+
+      // The rollout ran exactly the replayed encoder, and the count repeats.
+      EXPECT_EQ(replay_against_full_forward(policy, graph, r.actions), rows)
+          << "seed " << seed;
+      const std::uint64_t again = encode_rows.value();
+      EXPECT_EQ(decode(Policy::RolloutMode::Inference).actions, r.actions);
+      EXPECT_EQ(encode_rows.value() - again, rows);
+
+      // A differentiable rollout encodes with the full forward and agrees.
+      const Policy::RolloutResult full =
+          decode(Policy::RolloutMode::StepwiseBackward);
+      EXPECT_EQ(full.actions, r.actions) << "seed " << seed;
+      EXPECT_EQ(std::memcmp(&full.log_prob_value, &r.log_prob_value,
+                            sizeof(double)),
+                0);
+    }
+  }
+  EXPECT_TRUE(empty_adjacency_row);
+}
+
+TEST(Policy, GreedyInferenceFromTwoThreadsOnSharedPolicyAndGraph) {
+  GeneratorConfig cfg;
+  cfg.target_cells = 600;
+  cfg.seed = 82;
+  cfg.clock_tightness = 0.75;
+  const Design design = generate_design(cfg);
+  const DesignGraph graph(design);
+  const Policy policy(PolicyConfig{}, 14);
+  auto greedy = [&] {
+    SelectionEnv env(&graph, 0.3);
+    Rng rng(1);
+    return policy.rollout(graph, env, rng, /*greedy=*/true,
+                          Policy::RolloutMode::Inference);
+  };
+  const Policy::RolloutResult reference = greedy();
+  ASSERT_GE(reference.steps, 2);
+  Policy::RolloutResult a, b;
+  std::thread ta([&] { a = greedy(); });
+  std::thread tb([&] { b = greedy(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a.actions, reference.actions);
+  EXPECT_EQ(b.actions, reference.actions);
+  EXPECT_EQ(std::memcmp(&a.log_prob_value, &b.log_prob_value, sizeof(double)),
             0);
 }
 
