@@ -1,8 +1,9 @@
 // Incremental-STA benchmark: the placement flow run with the dirty-frontier
 // update() engine versus the same flow forced to full recomputes
 // (StaConfig::incremental = false). Reports wall-clock speedup and the
-// reduction in propagated pin updates (the engine's work metric). The
-// single-edit ratio is a median of paired samples of at least 20 ms each.
+// reduction in propagated pin updates (the engine's work metric). Both the
+// single-edit and the flow ratio are medians of paired samples of at least
+// 20 ms each.
 //
 // Also measures the flight-recorder tax: the same incremental flow with the
 // trace ring enabled, which must stay within ~2% of the untraced run.
@@ -19,34 +20,82 @@
 namespace rlccd {
 namespace {
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// One timing sample: whole passes until at least kMinSampleSec of pass time
+// has accumulated, so scheduler noise stays small beside it (one
+// incremental edit-loop pass is only ~2 ms, one incremental flow ~8 ms).
+// `pass` runs once and returns its own seconds; the sample is the mean
+// seconds per pass.
+constexpr double kMinSampleSec = 0.02;
+
+template <typename Pass>
+double sample(Pass&& pass) {
+  double total = 0.0;
+  int passes = 0;
+  while (total < kMinSampleSec) {
+    total += pass();
+    ++passes;
+  }
+  return total / passes;
+}
+
 struct FlowCost {
-  double seconds = 0.0;
+  double seconds = 0.0;  // median sample, seconds per flow
   std::uint64_t pin_updates = 0;
   double tns = 0.0;
 };
 
-FlowCost measure_flow(const Design& d, bool incremental, int repeats) {
+// One timed placement flow on a fresh copy of the design. Pin updates and
+// TNS are identical in every run of one mode.
+double run_flow(const Design& d, bool incremental, FlowCost& cost) {
   FlowConfig cfg =
       default_flow_config(d.netlist->num_real_cells(), d.clock_period);
   StaConfig sta_cfg = d.sta_config;
   sta_cfg.incremental = incremental;
+  Netlist work = *d.netlist;
+  auto t0 = std::chrono::steady_clock::now();
+  FlowInput input{sta_cfg, d.clock_period, d.die, d.pi_toggles};
+  FlowResult fr = run_placement_flow(work, input, cfg);
+  const double sec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  cost.pin_updates = fr.sta_stats.pin_updates();
+  cost.tns = fr.final_summary.tns;
+  return sec;
+}
 
-  FlowCost best;
+struct FlowCompare {
+  FlowCost full, inc, traced;
+  double speedup = 0.0;         // median of the paired full/inc ratios
+  double trace_overhead = 0.0;  // median of the paired traced/inc - 1
+};
+
+// Flow-level comparison, sampled like the single-edit loop: each repeat
+// times a full, an incremental and a traced incremental sample back to
+// back, and the ratios are medians over the repeats' paired ratios.
+FlowCompare measure_flows(const Design& d, int repeats) {
+  FlowCompare out;
+  std::vector<double> full, inc, traced, ratio, overhead;
   for (int r = 0; r < repeats; ++r) {
-    Netlist work = *d.netlist;
-    auto t0 = std::chrono::steady_clock::now();
-    FlowInput input{sta_cfg, d.clock_period, d.die, d.pi_toggles};
-    FlowResult fr = run_placement_flow(work, input, cfg);
-    double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (r == 0 || sec < best.seconds) {
-      best.seconds = sec;
-      best.pin_updates = fr.sta_stats.pin_updates();
-      best.tns = fr.final_summary.tns;
-    }
+    full.push_back(sample([&] { return run_flow(d, false, out.full); }));
+    inc.push_back(sample([&] { return run_flow(d, true, out.inc); }));
+    TraceRecorder::global().enable();
+    run_flow(d, true, out.traced);  // untimed: allocates the per-thread ring
+    traced.push_back(sample([&] { return run_flow(d, true, out.traced); }));
+    TraceRecorder::global().disable();
+    ratio.push_back(full.back() / inc.back());
+    overhead.push_back(traced.back() / inc.back() - 1.0);
   }
-  return best;
+  out.full.seconds = median(full);
+  out.inc.seconds = median(inc);
+  out.traced.seconds = median(traced);
+  out.speedup = median(ratio);
+  out.trace_overhead = median(overhead);
+  return out;
 }
 
 struct EditCost {
@@ -56,11 +105,6 @@ struct EditCost {
   std::uint64_t pins_full = 0;
   std::uint64_t pins_inc = 0;
 };
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 // One timed pass of the single-edit loop on a fresh copy of the design;
 // returns (seconds, pin updates).
@@ -94,25 +138,18 @@ std::pair<double, std::uint64_t> run_edit_loop(const Design& d,
   return {sec, sta.stats().pin_updates()};
 }
 
-// One timing sample of the single-edit loop: whole passes until at least
-// kMinSampleSec of loop time has accumulated, so scheduler noise stays small
-// beside it (one incremental pass is only ~2 ms). Returns the mean seconds
-// per pass and one pass's pin updates (identical in every pass).
-constexpr double kMinSampleSec = 0.02;
-
+// One timing sample of the single-edit loop; returns the mean seconds per
+// pass and one pass's pin updates (identical in every pass).
 std::pair<double, std::uint64_t> sample_edit_loop(const Design& d,
                                                   bool incremental,
                                                   int edits) {
-  double total = 0.0;
-  int passes = 0;
   std::uint64_t pins = 0;
-  while (total < kMinSampleSec) {
-    const auto [sec, pass_pins] = run_edit_loop(d, incremental, edits);
-    total += sec;
+  const double sec = sample([&] {
+    const auto [pass_sec, pass_pins] = run_edit_loop(d, incremental, edits);
     pins = pass_pins;
-    ++passes;
-  }
-  return {total / passes, pins};
+    return pass_sec;
+  });
+  return {sec, pins};
 }
 
 // Mutation-level comparison: repeated single-cell resizes, re-analyzed after
@@ -178,37 +215,37 @@ int main(int argc, char** argv) {
               d.netlist->num_real_cells(), d.netlist->num_pins(),
               d.clock_period);
 
-  const int kRepeats = 3;
-  EditCost edits = measure_single_edits(d, /*repeats=*/5);
+  const int kRepeats = 5;
+  EditCost edits = measure_single_edits(d, kRepeats);
+  const FlowCompare flows = measure_flows(d, kRepeats);
+  const FlowCost& full = flows.full;
+  const FlowCost& inc = flows.inc;
 
-  FlowCost full = measure_flow(d, /*incremental=*/false, kRepeats);
-  FlowCost inc = measure_flow(d, /*incremental=*/true, kRepeats);
-
-  std::printf("run_placement_flow (best of %d):\n", kRepeats);
+  std::printf("run_placement_flow (per flow, median of %d samples of >= "
+              "%.0f ms):\n",
+              kRepeats, 1e3 * kMinSampleSec);
   std::printf("  full      : %8.3f ms, %12llu pin updates, TNS %.4f\n",
               1e3 * full.seconds,
               static_cast<unsigned long long>(full.pin_updates), full.tns);
   std::printf("  increment : %8.3f ms, %12llu pin updates, TNS %.4f\n",
               1e3 * inc.seconds,
               static_cast<unsigned long long>(inc.pin_updates), inc.tns);
-  std::printf("  speedup %.2fx, pin-update reduction %.2fx\n",
-              full.seconds / inc.seconds,
+  std::printf("  speedup %.2fx (median paired ratio), pin-update reduction "
+              "%.2fx\n",
+              flows.speedup,
               static_cast<double>(full.pin_updates) /
                   static_cast<double>(inc.pin_updates));
 
-  TraceRecorder::global().enable();
-  FlowCost traced = measure_flow(d, /*incremental=*/true, kRepeats);
-  TraceRecorder::global().disable();
   std::printf("\ntracing overhead (incremental flow, ring enabled):\n");
   std::printf("  untraced  : %8.3f ms\n", 1e3 * inc.seconds);
   std::printf("  traced    : %8.3f ms  (%llu events, %llu dropped)\n",
-              1e3 * traced.seconds,
+              1e3 * flows.traced.seconds,
               static_cast<unsigned long long>(
                   TraceRecorder::global().buffered_events()),
               static_cast<unsigned long long>(
                   TraceRecorder::global().dropped_events()));
-  std::printf("  overhead %+.2f%%\n",
-              100.0 * (traced.seconds - inc.seconds) / inc.seconds);
+  std::printf("  overhead %+.2f%% (median paired)\n",
+              100.0 * flows.trace_overhead);
 
   // Bench document for rlccd_report: the speedup / reduction ratios are
   // checked against the committed baseline in CI, the absolute times are
@@ -223,11 +260,10 @@ int main(int argc, char** argv) {
              static_cast<double>(edits.pins_inc)},
         {"flow_full_ms", 1e3 * full.seconds},
         {"flow_inc_ms", 1e3 * inc.seconds},
-        {"flow_speedup", full.seconds / inc.seconds},
+        {"flow_speedup", flows.speedup},
         {"flow_pin_reduction", static_cast<double>(full.pin_updates) /
                                    static_cast<double>(inc.pin_updates)},
-        {"trace_overhead_pct",
-         100.0 * (traced.seconds - inc.seconds) / inc.seconds},
+        {"trace_overhead_pct", 100.0 * flows.trace_overhead},
     };
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {

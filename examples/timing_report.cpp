@@ -1,15 +1,15 @@
 // Timing-report walkthrough: generate a Table-II block, print the design
 // summary, the worst timing paths (report_timing-style), the violating
-// endpoint distribution, and dump the netlist to a portable text file.
+// endpoint distribution, and the fan-in cone overlap among the worst
+// endpoints.
 //
-//   ./examples/timing_report [block] [scale] [out.netlist]
+//   ./examples/timing_report [block] [scale]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "common/log.h"
 #include "designgen/blocks.h"
-#include "netlist/serialize.h"
 #include "netlist/stats.h"
 #include "sta/cone.h"
 #include "sta/path.h"
@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   set_log_level(LogLevel::Warn);
   std::string block = argc > 1 ? argv[1] : "block5";
   double scale = argc > 2 ? std::atof(argv[2]) : 0.01;
-  std::string out_path = argc > 3 ? argv[3] : "";
 
   Design d = generate_design(to_generator_config(find_block(block), scale));
   std::printf("%s: %s\n", d.name.c_str(),
@@ -85,17 +84,6 @@ int main(int argc, char** argv) {
     std::printf("\ncone overlap (rho=0.3) among worst endpoints: %d of %d "
                 "pairs overlap\n",
                 overlapping, pairs);
-  }
-
-  if (!out_path.empty()) {
-    Status s = write_netlist_file(*d.netlist, out_path);
-    if (s.ok()) {
-      std::printf("\nnetlist written to %s\n", out_path.c_str());
-    } else {
-      std::printf("\nfailed to write %s: %s\n", out_path.c_str(),
-                  s.to_string().c_str());
-      return 1;
-    }
   }
   return 0;
 }

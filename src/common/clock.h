@@ -1,7 +1,8 @@
 // The one monotonic clock every timestamp in the system reads.
 //
-// Trace events, telemetry spans, postmortem rings, the child lifecycle's
-// deadlines and the serve daemon's timers all take their seconds from here.
+// Trace events, telemetry spans, the child lifecycle's deadlines and the
+// serve daemon's timers and postmortem events all take their seconds from
+// here.
 // A forked child and its parent read the same steady_clock, so events a
 // child ships back stitch onto the parent's timeline without offsets.
 #pragma once

@@ -71,7 +71,7 @@ enum class FrameType : std::uint8_t {
   kResult = 2,     // the job's serialized result
   kError = 3,      // human-readable failure description from the child
   kTelemetry = 4,  // ObsDelta (common/telemetry_wire.h): telemetry delta +
-                   // trace events + postmortem-ring tail from a child
+                   // trace events from a child
 };
 
 struct Frame {

@@ -12,9 +12,10 @@ void set_log_level(LogLevel level);
 LogLevel log_level();
 
 // Optional tap on every formatted log line, *regardless of the stderr
-// level* — a worker can keep stderr at Warn while its postmortem ring
-// records Info/Debug lines too. Called on whichever thread logs; keep the
-// hook cheap and non-reentrant (it must not log). nullptr uninstalls.
+// level* — a serve job child keeps stderr at Warn while it sends Info/Debug
+// lines to the daemon for its postmortem. Called on whichever thread logs;
+// keep the hook cheap and non-reentrant (it must not log). nullptr
+// uninstalls.
 using LogHook = void (*)(LogLevel level, const char* line);
 void set_log_hook(LogHook hook);
 

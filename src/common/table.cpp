@@ -43,20 +43,6 @@ std::string TablePrinter::to_string() const {
 
 void TablePrinter::print() const { std::fputs(to_string().c_str(), stdout); }
 
-std::string TablePrinter::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string TablePrinter::fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

@@ -1,5 +1,5 @@
 // Fixed-width console table printer used by the benchmark harnesses to emit
-// Table-II-style reports, plus a CSV writer for post-processing.
+// Table-II-style reports.
 #pragma once
 
 #include <string>
@@ -16,8 +16,6 @@ class TablePrinter {
   // Render with column widths fitted to content, header separator included.
   [[nodiscard]] std::string to_string() const;
   void print() const;
-
-  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
 

@@ -8,7 +8,6 @@
 #include "common/contracts.h"
 #include "common/json_writer.h"
 #include "common/metric_names.h"
-#include "common/postmortem.h"
 #include "common/trace.h"
 
 namespace rlccd {
@@ -369,9 +368,6 @@ ScopedSpan::ScopedSpan(std::string_view name) : start_sec_(mono_sec()) {
   ThreadSpanState& st = thread_spans();
   SpanNode& node = st.stack.back()->child(name);
   st.stack.push_back(&node);
-  // Postmortem-ring feed (off by default; one relaxed load when off). A
-  // crashed worker's last ring events show which span it died inside.
-  if (EventRing::enabled()) EventRing::global().note("span_open", name);
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -384,7 +380,6 @@ ScopedSpan::~ScopedSpan() {
   // Flight-recorder hook: one Chrome-trace complete event per span close.
   // One relaxed atomic load while the recorder is disabled.
   RLCCD_TRACE_COMPLETE(node->name, start_sec_, elapsed);
-  if (EventRing::enabled()) EventRing::global().note("span_close", node->name);
 
   // Feed active capture scopes with the path relative to each scope's base.
   if (t_active_scope != nullptr) {

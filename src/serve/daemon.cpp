@@ -22,7 +22,6 @@
 #include "common/io.h"
 #include "common/json_writer.h"
 #include "common/log.h"
-#include "common/postmortem.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/telemetry_wire.h"
@@ -58,6 +57,23 @@ void child_sigterm(int) {
   if (g_child_cancel != nullptr) g_child_cancel->cancel();
 }
 
+// One kChildNote frame: an event for the daemon's postmortem tail that has
+// no frame of its own ("phase" markers, "log" lines).
+void send_note(ChildChannel* pipe, std::string_view kind,
+               std::string_view text) {
+  std::string bytes;
+  ipc_append_string(bytes, kind);
+  ipc_append_string(bytes, text);
+  (void)pipe->send(static_cast<std::uint8_t>(MsgType::kChildNote), bytes);
+}
+
+// The log hook's pipe. ChildChannel::send is mutex-serialised and never
+// logs, so a line logged on any thread cannot re-enter the hook.
+ChildChannel* g_child_pipe = nullptr;
+void child_log_hook(LogLevel, const char* line) {
+  if (g_child_pipe != nullptr) send_note(g_child_pipe, "log", line);
+}
+
 // Forwards trainer progress events over the pipe and implements the
 // serve_worker_crash fault: _exit(3) right after the Nth checkpoint event,
 // so the retried attempt provably resumes from a real checkpoint.
@@ -70,9 +86,6 @@ class ChildProgress : public ProgressObserver {
     JobProgress p;
     p.phase.assign(event.phase.data(), event.phase.size());
     p.step.assign(event.step.data(), event.step.size());
-    if (EventRing::enabled()) {
-      EventRing::global().note("progress", p.phase + "/" + p.step);
-    }
     p.index = event.index;
     p.seconds = event.seconds;
     for (const ProgressMetric& m : event.metrics) {
@@ -107,7 +120,6 @@ class ChildAudit : public AuditSink {
 
  private:
   void line(const std::string& json) {
-    if (EventRing::enabled()) EventRing::global().note("audit", json);
     (void)pipe_->send(static_cast<std::uint8_t>(MsgType::kChildAudit), json);
   }
   ChildChannel* pipe_;
@@ -139,19 +151,16 @@ std::uint32_t result_digest(const TrainStats& stats) {
   if (crash && crash_after <= 0) _exit(3);  // crash before any work
 
   // Child-side observability plane: a fresh trace-event ring (the parent's
-  // buffers, inherited over fork, are its own story), a postmortem event
-  // ring fed by every log line / progress step / audit record, and a
-  // telemetry tracker baselined *now* so registry values inherited from the
-  // parent are never re-shipped. The heartbeat hook ships an ObsDelta
-  // alongside each heartbeat; the final flush precedes the result frame.
+  // buffers, inherited over fork, are its own story), every log line sent
+  // as a note for the daemon's postmortem tail, and a telemetry tracker
+  // baselined *now* so registry values inherited from the parent are never
+  // re-shipped. The heartbeat hook ships an ObsDelta alongside each
+  // heartbeat; the final flush precedes the result frame.
   TraceRecorder::global().enable(4096);
-  EventRing::global().enable();
-  set_log_hook(+[](LogLevel, const char* l) {
-    EventRing::global().note("log", l);
-  });
+  g_child_pipe = &pipe;
+  set_log_hook(child_log_hook);
   TelemetryDeltaTracker obs_tracker;
   TraceCursor obs_trace_cursor;
-  std::uint64_t obs_ring_seq = 0;
   std::uint64_t obs_seq = 0;
   auto ship_obs = [&] {
     // Heartbeat-thread-then-main-thread use only (the final flush runs
@@ -161,17 +170,15 @@ std::uint32_t result_digest(const TrainStats& stats) {
     d.source_pid = static_cast<std::int32_t>(::getpid());
     d.telemetry = obs_tracker.take();
     TraceRecorder::global().collect_since(obs_trace_cursor, d.trace_events);
-    obs_ring_seq = EventRing::global().collect_since(obs_ring_seq,
-                                                     d.ring_events);
     if (d.telemetry.counters.empty() && d.telemetry.gauges.empty() &&
         d.telemetry.histograms.empty() && d.telemetry.spans.children.empty() &&
-        d.trace_events.empty() && d.ring_events.empty()) {
+        d.trace_events.empty()) {
       return;  // nothing new since the last ship
     }
     (void)pipe.send(static_cast<std::uint8_t>(FrameType::kTelemetry),
                     d.encode());
   };
-  EventRing::global().note("phase", "attempt start");
+  send_note(&pipe, "phase", "attempt start");
   pipe.start_heartbeat(cfg.heartbeat_interval_sec, ship_obs);
 
   JobResult result;
@@ -220,7 +227,7 @@ std::uint32_t result_digest(const TrainStats& stats) {
     result.detail = buf;
   }
 
-  EventRing::global().note("phase", "attempt done");
+  send_note(&pipe, "phase", "attempt done");
   pipe.finish();  // final flush: nothing recorded is lost on a clean exit
   std::string bytes;
   encode_job_result(bytes, result);
@@ -686,6 +693,10 @@ struct DaemonLoop {
   void drain_worker_pipe(int slot_index) {
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
     Job* job = s.job;
+    // Every event frame also lands in the attempt's postmortem tail, so the
+    // tail holds what the child sent up to the moment it died.
+    AttemptObs& obs = job->attempt_obs.back();
+    const double received = mono_sec();
     const bool ended = s.attempt.pump([&](Frame& frame) {
       switch (frame.type) {
         case static_cast<std::uint8_t>(MsgType::kChildProgress): {
@@ -693,8 +704,10 @@ struct DaemonLoop {
           JobProgress p;
           if (parse_job_progress(frame.payload, off, p).ok()) {
             p.job_id = job->id;
-            job->detail = p.phase + "/" + p.step +
+            std::string step = p.phase + "/" + p.step;
+            job->detail = step +
                           (p.index >= 0 ? " #" + std::to_string(p.index) : "");
+            obs.note("progress", std::move(step), received);
             std::string bytes2;
             encode_job_progress(bytes2, p);
             relay_to_watchers(job, MsgType::kProgress, bytes2);
@@ -706,13 +719,23 @@ struct DaemonLoop {
           ipc_append_pod(bytes2, job->id);
           ipc_append_string(bytes2, frame.payload);
           relay_to_watchers(job, MsgType::kAudit, bytes2);
+          obs.note("audit", std::move(frame.payload), received);
+          break;
+        }
+        case static_cast<std::uint8_t>(MsgType::kChildNote): {
+          std::size_t off = 0;
+          std::string kind, text;
+          if (ipc_parse_string(frame.payload, off, kind, "note kind").ok() &&
+              ipc_parse_string(frame.payload, off, text, "note text").ok()) {
+            obs.note(std::move(kind), std::move(text), received);
+          }
           break;
         }
         case static_cast<std::uint8_t>(FrameType::kTelemetry): {
           // An ObsDelta from the child: merge the telemetry delta into the
-          // global registry and accumulate the trace/ring events on the
-          // attempt. A frame that fails to decode is dropped whole — a torn
-          // or corrupt delta can never half-apply.
+          // global registry and accumulate the trace events on the attempt.
+          // A frame that fails to decode is dropped whole — a torn or
+          // corrupt delta can never half-apply.
           ObsDelta d;
           if (!d.decode(frame.payload).ok()) {
             ctr_obs_errors.increment();
@@ -720,27 +743,13 @@ struct DaemonLoop {
           }
           reg.merge_delta(d.telemetry);
           ctr_obs_merged.increment();
-          if (!job->attempt_obs.empty()) {
-            AttemptObs& obs = job->attempt_obs.back();
-            // Bounded accumulation: a runaway child must not balloon the
-            // daemon. Oldest trace events win (the stitched timeline reads
-            // left to right); newest ring events win (a postmortem wants
-            // the *last* things the child did).
-            constexpr std::size_t kMaxTraceEvents = 1u << 16;
-            constexpr std::size_t kMaxRingEvents = 512;
-            for (auto& ev : d.trace_events) {
-              if (obs.trace_events.size() >= kMaxTraceEvents) break;
-              obs.trace_events.push_back(std::move(ev));
-            }
-            for (auto& ev : d.ring_events) {
-              obs.ring_events.push_back(std::move(ev));
-            }
-            if (obs.ring_events.size() > kMaxRingEvents) {
-              obs.ring_events.erase(
-                  obs.ring_events.begin(),
-                  obs.ring_events.end() -
-                      static_cast<std::ptrdiff_t>(kMaxRingEvents));
-            }
+          // Bounded accumulation: a runaway child must not balloon the
+          // daemon. Oldest trace events win (the stitched timeline reads
+          // left to right).
+          constexpr std::size_t kMaxTraceEvents = 1u << 16;
+          for (auto& ev : d.trace_events) {
+            if (obs.trace_events.size() >= kMaxTraceEvents) break;
+            obs.trace_events.push_back(std::move(ev));
           }
           break;
         }
@@ -800,7 +809,7 @@ struct DaemonLoop {
     job->kills += s.attempt.killed() ? 1 : 0;
     if (!job->attempt_obs.empty()) job->attempt_obs.back().outcome = desc;
     // Every attempt that dies without a result gets a forensic record: the
-    // crash classification plus the last ring events the child shipped.
+    // crash classification plus the last events the child sent.
     write_postmortem(job, cls, run_sec);
 
     if (job->cancel_requested) {
@@ -866,7 +875,7 @@ struct DaemonLoop {
     rep.exit_code = cls.exit_code;
     rep.term_signal = cls.term_signal;
     rep.wall_sec = wall_sec;
-    rep.events = obs.ring_events;
+    rep.events = obs.tail;
     const std::string path = job->workspace + "/postmortem-" +
                              std::to_string(job->id) + "-" +
                              std::to_string(obs.attempt) + ".json";
@@ -878,7 +887,7 @@ struct DaemonLoop {
     }
     job->postmortem_path = path;
     ctr_postmortems.increment();
-    RLCCD_LOG_INFO("serve: job %llu attempt %d postmortem -> %s (%zu ring "
+    RLCCD_LOG_INFO("serve: job %llu attempt %d postmortem -> %s (%zu "
                    "events)",
                    static_cast<unsigned long long>(job->id), obs.attempt,
                    path.c_str(), rep.events.size());

@@ -7,6 +7,7 @@ const char* msg_type_name(MsgType type) {
   switch (type) {
     case MsgType::kChildProgress: return "child_progress";
     case MsgType::kChildAudit: return "child_audit";
+    case MsgType::kChildNote: return "child_note";
     case MsgType::kHello: return "hello";
     case MsgType::kHelloReply: return "hello_reply";
     case MsgType::kSubmit: return "submit";

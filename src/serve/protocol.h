@@ -23,8 +23,8 @@
 //   kPoll / kCancel / kStats / kShutdown are single request/reply pairs.
 //
 // The daemon<->job-worker pipe reuses FrameType::kHeartbeat/kResult/kError
-// plus kChildProgress/kChildAudit below; a job result travels as a
-// JobResultWire payload inside the kResult frame.
+// plus kChildProgress/kChildAudit/kChildNote below; a job result travels as
+// a JobResultWire payload inside the kResult frame.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,7 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 enum class MsgType : std::uint8_t {
   kChildProgress = 10,  // JobProgress from a job worker to the daemon
   kChildAudit = 11,     // one audit JSONL line from a job worker
+  kChildNote = 12,      // {kind, text} for the daemon's postmortem tail
 
   kHello = 16,
   kHelloReply = 17,

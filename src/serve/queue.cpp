@@ -3,9 +3,54 @@
 #include <algorithm>
 
 #include "common/contracts.h"
+#include "common/io.h"
+#include "common/json_writer.h"
 
 namespace rlccd {
 namespace serve {
+
+void AttemptObs::note(std::string kind, std::string text, double t_sec) {
+  tail.push_back({++tail_seq, t_sec, std::move(kind), std::move(text)});
+  if (tail.size() > kMaxTailEvents) tail.pop_front();
+}
+
+std::string PostmortemReport::to_json() const {
+  std::string out = "{\"job\":\"";
+  json_escape(out, job);
+  out += "\",\"attempt\":";
+  append_json_number(out, static_cast<std::uint64_t>(attempt));
+  out += ",\"pid\":";
+  append_json_number(out, static_cast<std::uint64_t>(pid));
+  out += ",\"classification\":\"";
+  json_escape(out, classification);
+  out += "\",\"exit_code\":";
+  append_json_number(out, static_cast<double>(exit_code));
+  out += ",\"term_signal\":";
+  append_json_number(out, static_cast<double>(term_signal));
+  out += ",\"wall_sec\":";
+  append_json_number(out, wall_sec);
+  out += ",\"events\":[";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const PostmortemEvent& ev = events[i];
+    if (i) out += ',';
+    out += "{\"seq\":";
+    append_json_number(out, ev.seq);
+    out += ",\"t_sec\":";
+    append_json_number(out, ev.t_sec);
+    out += ",\"kind\":\"";
+    json_escape(out, ev.kind);
+    out += "\",\"text\":\"";
+    json_escape(out, ev.text);
+    out += "\"}";
+  }
+  out += "]}";
+  return out;
+}
+
+Status write_postmortem_json(const std::string& path,
+                             const PostmortemReport& report) {
+  return atomic_write_file(path, report.to_json() + '\n');
+}
 
 JobQueue::JobQueue(QueueConfig config) : config_(config) {}
 

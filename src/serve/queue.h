@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "common/postmortem.h"
+#include "common/status.h"
 #include "common/trace.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
@@ -46,20 +46,57 @@ struct QueueConfig {
   int max_inflight_per_session = 2; // running jobs per session
 };
 
+// One entry of an attempt's postmortem tail. The daemon notes one per child
+// frame it decodes: kind "progress" (phase/step), "audit" (the JSONL line),
+// or a kChildNote's own kind ("phase" markers and "log" lines).
+struct PostmortemEvent {
+  std::uint64_t seq = 0;  // 1-based, per attempt
+  double t_sec = 0.0;     // mono clock when the daemon received the frame
+  std::string kind;
+  std::string text;
+};
+
 // Observability accumulated for one job attempt from the worker child's
-// periodic ObsDelta frames: its trace events (stitched into the per-job
-// Chrome trace on one pid row per attempt) and the tail of its postmortem
-// event ring (serialized into postmortem-<job>-<attempt>.json if the
-// attempt dies without a result).
+// frames: its trace events (from the periodic ObsDelta frames; stitched
+// into the per-job Chrome trace on one pid row per attempt) and the tail of
+// the events it sent (serialized into postmortem-<job>-<attempt>.json if
+// the attempt dies without a result).
 struct AttemptObs {
+  // The tail keeps the newest events: a postmortem wants the *last* things
+  // the child did, and a runaway child must not balloon the daemon.
+  static constexpr std::size_t kMaxTailEvents = 512;
+
   int attempt = 0;  // 1-based, matches Job::attempts at spawn
   int pid = 0;
   double started_sec = 0.0;  // mono clock at fork
   double ended_sec = 0.0;    // mono clock at finalize; 0 while running
   std::string outcome;       // "done" / failure description once finished
   std::vector<CollectedTraceEvent> trace_events;
-  std::vector<PostmortemEvent> ring_events;
+  std::deque<PostmortemEvent> tail;
+  std::uint64_t tail_seq = 0;  // seq of the newest event noted
+
+  // Appends one event received at `t_sec`, dropping the oldest past
+  // kMaxTailEvents.
+  void note(std::string kind, std::string text, double t_sec);
 };
+
+// The forensic record the daemon writes when an attempt dies without a
+// result: identity, the crash classification, and the attempt's tail.
+struct PostmortemReport {
+  std::string job;
+  std::int32_t attempt = 0;
+  std::int32_t pid = 0;
+  std::string classification;  // "exit" | "signal" | "timeout" | "protocol"
+  std::int32_t exit_code = 0;
+  std::int32_t term_signal = 0;
+  double wall_sec = 0.0;  // attempt wall-clock at classification
+  std::deque<PostmortemEvent> events;
+
+  [[nodiscard]] std::string to_json() const;
+};
+
+Status write_postmortem_json(const std::string& path,
+                             const PostmortemReport& report);
 
 // One admitted job. Plain data owned by the JobQueue; the daemon reaches in
 // freely (same thread).

@@ -31,12 +31,6 @@ TEST(TablePrinter, ColumnsAlignAcrossRows) {
   }
 }
 
-TEST(TablePrinter, CsvEscapesNothingButJoinsWithCommas) {
-  TablePrinter t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinter, FormatHelpers) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(-0.5, 1), "-0.5");

@@ -1,10 +1,11 @@
 // End-to-end observability plane: a job child SIGKILLed mid-work is
 // retried to a bit-identical result, the crashed attempt leaves a
-// postmortem JSON with the ring events the child shipped before dying, the
-// stitched per-job Chrome trace shows both attempts on distinct pid rows,
-// kStatsWatch streams live snapshots with gauge transitions, the kMetrics
-// Prometheus exposition parses and every family traces back to the metric
-// manifest, and daemon reject reasons reach the client verbatim.
+// postmortem JSON with the events the child sent before dying (also those
+// after its last heartbeat), the stitched per-job Chrome trace shows both
+// attempts on distinct pid rows, kStatsWatch streams live snapshots with
+// gauge transitions, the kMetrics Prometheus exposition parses and every
+// family traces back to the metric manifest, and daemon reject reasons
+// reach the client verbatim.
 #include "serve/daemon.h"
 
 #ifndef _WIN32
@@ -112,7 +113,7 @@ TEST_F(ObservabilityTest, SigkilledAttemptLeavesPostmortemAndStitchedTrace) {
   ASSERT_EQ(clean_status.state, JobState::kDone);
 
   // The victim: long enough that we can find its pid and that several
-  // heartbeats ship the ring/trace tail before the SIGKILL lands.
+  // heartbeats ship the trace tail before the SIGKILL lands.
   SubmitReply reply;
   ASSERT_TRUE(client.submit(noop_spec("obs", 3.0), reply).ok());
   ASSERT_TRUE(reply.accepted) << reply.reason;
@@ -129,7 +130,7 @@ TEST_F(ObservabilityTest, SigkilledAttemptLeavesPostmortemAndStitchedTrace) {
       << "retry must complete bit-identically";
 
   // Postmortem: written for the killed attempt, referenced in the status,
-  // classified as a signal death, holding the child's shipped ring events.
+  // classified as a signal death, holding the events the child sent.
   ASSERT_FALSE(status.postmortem.empty());
   std::string pm_text;
   ASSERT_TRUE(read_file(status.postmortem, pm_text).ok())
@@ -199,6 +200,76 @@ TEST_F(ObservabilityTest, SigkilledAttemptLeavesPostmortemAndStitchedTrace) {
   EXPECT_GE(counters->number_or("serve.obs_deltas_merged", 0.0), 1.0);
   EXPECT_EQ(counters->number_or("serve.obs_delta_errors", -1.0), 0.0)
       << "a torn final frame must be dropped silently, and none were torn";
+}
+
+// The daemon keeps the postmortem tail from the frames it receives, so the
+// events a child sent right before a SIGKILL are in the report even when no
+// heartbeat ran after them (the interval here is far longer than the kill
+// window).
+TEST_F(ObservabilityTest, PostmortemKeepsEventsSentAfterLastHeartbeat) {
+  ServeConfig cfg;
+  cfg.retry_backoff_base_sec = 0.01;
+  cfg.heartbeat_interval_sec = 5.0;
+  cfg.heartbeat_timeout_sec = 30.0;
+  start_daemon(cfg);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(socket_path_).ok());
+  ServeClient probe;  // stats queries while `client` is inside wait()
+  ASSERT_TRUE(probe.connect(socket_path_).ok());
+
+  JobSpec spec;
+  spec.session = "tail";
+  spec.kind = JobKind::kTrain;
+  spec.block = "block11";
+  spec.scale = 0.01;
+  spec.iters = 4;  // the kill must land while iterations remain
+  spec.rollout_workers = 2;
+  spec.seed = 7;
+  SubmitReply reply;
+  ASSERT_TRUE(client.submit(spec, reply).ok());
+  ASSERT_TRUE(reply.accepted) << reply.reason;
+
+  int killed_pid = 0;
+  JobStatus status;
+  ASSERT_TRUE(client
+                  .wait(reply.job_id, status, 120.0,
+                        [&](const JobProgress& p) {
+                          if (killed_pid != 0 || p.phase != "train" ||
+                              p.step != "iteration") {
+                            return;
+                          }
+                          killed_pid =
+                              busy_worker_pid(probe, reply.job_id, 10.0);
+                          if (killed_pid > 0) ::kill(killed_pid, SIGKILL);
+                        })
+                  .ok());
+  ASSERT_GT(killed_pid, 0) << "never saw the first iteration's progress";
+  EXPECT_EQ(status.state, JobState::kDone);
+  EXPECT_EQ(status.attempts, 2) << "one SIGKILLed attempt plus the retry";
+
+  ASSERT_FALSE(status.postmortem.empty());
+  std::string pm_text;
+  ASSERT_TRUE(read_file(status.postmortem, pm_text).ok())
+      << status.postmortem;
+  JsonValue pm;
+  ASSERT_TRUE(JsonValue::parse(pm_text, pm).ok()) << pm_text;
+  EXPECT_EQ(pm.number_or("attempt", 0.0), 1.0);
+  EXPECT_EQ(pm.number_or("pid", 0.0), static_cast<double>(killed_pid));
+  EXPECT_EQ(pm.string_or("classification", ""), "signal");
+  const JsonValue* events = pm.find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  bool saw_iteration = false;
+  int audits = 0;
+  for (const JsonValue& ev : events->array_items()) {
+    const std::string kind = ev.string_or("kind", "");
+    if (kind == "progress" && ev.string_or("text", "") == "train/iteration") {
+      saw_iteration = true;
+    }
+    if (kind == "audit") ++audits;
+  }
+  EXPECT_TRUE(saw_iteration) << pm_text;
+  EXPECT_GE(audits, 1) << pm_text;
 }
 
 TEST_F(ObservabilityTest, WatchStreamsSnapshotsWithGaugeTransitions) {

@@ -1,13 +1,17 @@
 // JobQueue unit tests: admission caps (global and per-session), the
 // shed-lowest-priority overload policy, FIFO-per-session / round-robin
 // cross-session scheduling, retry requeue-at-front with backoff gating, and
-// the no-silent-jobs terminal invariant.
+// the no-silent-jobs terminal invariant; plus the attempt's bounded
+// postmortem tail and the JSON report written from it.
 #include "serve/queue.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
+
+#include "common/io.h"
+#include "common/json.h"
 
 namespace rlccd {
 namespace serve {
@@ -230,6 +234,56 @@ TEST_F(QueueTest, QueuedJobsSnapshotCoversAllSessions) {
   auto snapshot = queue.queued_jobs();
   EXPECT_EQ(snapshot.size(), 3u);
   EXPECT_EQ(queue.running_jobs().size(), 0u);
+}
+
+TEST(PostmortemTest, RingKeepsNewestAndDropsOldest) {
+  AttemptObs obs;
+  const int n = static_cast<int>(AttemptObs::kMaxTailEvents) + 20;
+  for (int i = 0; i < n; ++i) {
+    obs.note("phase", "event " + std::to_string(i), 0.5 * i);
+  }
+  ASSERT_EQ(obs.tail.size(), AttemptObs::kMaxTailEvents) << "bounded";
+  EXPECT_EQ(obs.tail.front().text, "event 20") << "oldest survivors first";
+  EXPECT_EQ(obs.tail.back().text, "event " + std::to_string(n - 1));
+  EXPECT_EQ(obs.tail.back().seq, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(obs.tail.back().t_sec, 0.5 * (n - 1));
+  for (std::size_t i = 1; i < obs.tail.size(); ++i) {
+    EXPECT_EQ(obs.tail[i].seq, obs.tail[i - 1].seq + 1) << "gap-free tail";
+  }
+}
+
+TEST(PostmortemTest, ReportJsonRoundTripsThroughWriter) {
+  PostmortemReport rep;
+  rep.job = "7";
+  rep.attempt = 2;
+  rep.pid = 4242;
+  rep.classification = "signal";
+  rep.term_signal = 9;
+  rep.wall_sec = 1.5;
+  rep.events.push_back({3, 0.25, "log", "warn: \"quoted\"\nline"});
+  rep.events.push_back({4, 0.5, "phase", "attempt start"});
+
+  const std::string path =
+      ::testing::TempDir() + "postmortem_test_report.json";
+  ASSERT_TRUE(write_postmortem_json(path, rep).ok());
+  std::string text;
+  ASSERT_TRUE(read_file(path, text).ok());
+
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::parse(text, doc).ok()) << text;
+  EXPECT_EQ(doc.string_or("job", ""), "7");
+  EXPECT_EQ(doc.number_or("attempt", 0.0), 2.0);
+  EXPECT_EQ(doc.number_or("pid", 0.0), 4242.0);
+  EXPECT_EQ(doc.string_or("classification", ""), "signal");
+  EXPECT_EQ(doc.number_or("term_signal", 0.0), 9.0);
+  const JsonValue* events = doc.find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  ASSERT_EQ(events->array_items().size(), 2u);
+  const JsonValue& ev = events->array_items()[0];
+  EXPECT_EQ(ev.string_or("kind", ""), "log");
+  EXPECT_EQ(ev.string_or("text", ""), "warn: \"quoted\"\nline")
+      << "escaping survives the round trip";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // rlccd_cli — command-line driver for the library.
 //
-//   rlccd_cli generate <block|cells> [--scale S] [--seed N] [--out FILE]
+//   rlccd_cli generate <block|cells> [--scale S] [--seed N]
 //   rlccd_cli sta      <block> [--scale S]          # timing report
 //   rlccd_cli flow     <block> [--scale S]          # default placement flow
 //   rlccd_cli train    <block> [--scale S] [--iters N] [--workers N]
@@ -31,7 +31,6 @@
 #include "common/trace.h"
 #include "core/rlccd.h"
 #include "designgen/blocks.h"
-#include "netlist/serialize.h"
 #include "netlist/stats.h"
 #include "rl/audit.h"
 #include "sta/path.h"
@@ -48,7 +47,6 @@ struct Args {
   int iters = 8;
   int workers = 6;
   double rho = 0.3;
-  std::string out;
   std::string gnn_in;
   std::string gnn_out;
   // Flight-recorder artifacts.
@@ -84,7 +82,6 @@ const FlagSpec kFlags[] = {
     {"--iters", "N", "train: REINFORCE iterations", &Args::iters},
     {"--workers", "N", "train: rollouts per iteration", &Args::workers},
     {"--rho", "R", "train: endpoint cone-overlap threshold", &Args::rho},
-    {"--out", "FILE", "generate: write the netlist here", &Args::out},
     {"--gnn-in", "FILE", "train: start from these EP-GNN weights",
      &Args::gnn_in},
     {"--gnn-out", "FILE", "train: write the trained EP-GNN weights",
@@ -265,15 +262,6 @@ int cmd_generate(const Args& args) {
               stats_to_string(compute_stats(*d.netlist)).c_str());
   std::printf("period %.3f ns, die %.0f x %.0f um\n", d.clock_period,
               d.die.width, d.die.height);
-  if (!args.out.empty()) {
-    Status s = write_netlist_file(*d.netlist, args.out);
-    if (!s.ok()) {
-      std::fprintf(stderr, "cannot write netlist: %s\n",
-                   s.to_string().c_str());
-      return 1;
-    }
-    std::printf("netlist written to %s\n", args.out.c_str());
-  }
   return 0;
 }
 
